@@ -78,8 +78,9 @@ def inverse(mat: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 is safe: entries < p <= 2**31 would overflow, but p here is a
-    # small prime and dimensions stay in the hundreds.
+    # Exact while inner_dim * (p-1)^2 < 2^63; nothing here checks that.
+    # FiniteField enforces it for the k x k products of its Frobenius and
+    # embedding matrices.
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 

@@ -1,9 +1,12 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from wildram import ff
 from wildram.errors import (
+    BadParameter,
     NoEmbedding,
     NotPrime,
     ReducibleModulus,
@@ -63,6 +66,57 @@ def test_deterministic_modulus_search():
     for n in range(val):
         mu = tuple((n // 3**i) % 3 for i in range(5)) + (1,)
         assert not brute_irreducible(mu, 3)
+
+
+def first_irreducible(p, k):
+    """Oracle: the first monic irreducible in base-p digit order, by sympy's test."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for n in range(p**k):
+        digits = [(n // p**i) % p for i in range(k)]  # digit i is the x^i coefficient
+        if gf_irreducible_p([1] + digits[::-1], p, ZZ):
+            return tuple(digits) + (1,)
+
+
+MODULUS_GRID = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 9)] + [
+    (31, 4),
+    (101, 3),
+    (9001, 2),
+    (30011, 2),
+    (2**31 - 1, 2),
+]
+
+
+@pytest.mark.parametrize("p,k", MODULUS_GRID)
+def test_canonical_modulus_is_first_irreducible(p, k):
+    pytest.importorskip("sympy")
+    assert GF(p, k).modulus == first_irreducible(p, k)
+
+
+def test_large_prime_field_first_use_is_fast():
+    # building a field and its Frobenius table must cost polylog(p), not poly(p)
+    t0 = time.perf_counter()
+    F = ff.FiniteField(30011, 2)
+    F.frobenius_matrix()
+    assert time.perf_counter() - t0 < 0.5
+    x = F.gen()
+    assert x.frobenius() == x**30011
+
+
+def test_int64_range_guard():
+    p = 2**31 - 1
+    F = GF(p, 2)  # 2 * (p-1)^2 < 2^63
+    assert F.modulus == (1, 0, 1)
+    x = F.gen()
+    assert x.frobenius() == x**p == -x
+    # past the int64 range of the struct-tensor einsum, roots_in takes the exact path
+    r1, r2 = F.element([123456789, 987654321]), F.element([2**30 + 7, 5])
+    z = FqPoly.x(F)
+    f = (z - FqPoly(F, [r1])) * (z - FqPoly(F, [r2]))
+    assert roots_in(f, F) == [(r1, 1), (r2, 1)]
+    with pytest.raises(BadParameter):
+        ff.FiniteField(p, 3)  # 3 * (p-1)^2 >= 2^63
 
 
 def test_field_axioms_random():
@@ -126,27 +180,28 @@ def test_embed_chain_consistency():
     assert via_mid * via_mid + via_mid + F8_.one() == F8_.zero()
 
 
-def test_embed_composes_through_cached_intermediates():
-    # with the two small embeddings chosen first, the big one is their composite
-    import numpy as np
-
+@pytest.fixture
+def fresh_embeddings():
     saved = dict(ff._EMBED_CACHE)
     ff._EMBED_CACHE.clear()
-    try:
-        F4, F16, F256 = GF(2, 2), GF(2, 4), GF(2, 8)
-        m1 = ff.embedding_matrix(F4, F16)
-        m2 = ff.embedding_matrix(F16, F256)
-        direct = ff.embedding_matrix(F4, F256)
-        assert np.array_equal(direct, (m2 @ m1) % 2)
-        for x in F4.elements():
-            assert embed(x, F256) == embed(embed(x, F16), F256)
-    finally:
-        ff._EMBED_CACHE.clear()
-        ff._EMBED_CACHE.update(saved)
+    yield
+    ff._EMBED_CACHE.clear()
+    ff._EMBED_CACHE.update(saved)
+
+
+def test_embed_composes_through_cached_intermediates(fresh_embeddings):
+    # with the two small embeddings chosen first, the big one is their composite
+    F4, F16, F256 = GF(2, 2), GF(2, 4), GF(2, 8)
+    m1 = ff.embedding_matrix(F4, F16)
+    m2 = ff.embedding_matrix(F16, F256)
+    direct = ff.embedding_matrix(F4, F256)
+    assert np.array_equal(direct, (m2 @ m1) % 2)
+    for x in F4.elements():
+        assert embed(x, F256) == embed(embed(x, F16), F256)
 
 
 def test_embed_large_target_uses_subfield_route():
-    # p^a just above the exhaustion threshold exercises the CZ branch
+    # 3^22 is far past the scan threshold: this exercises the CZ branch
     src = GF(3, 11)
     tgt = GF(3, 22)
     beta = embed(src.gen(), tgt)
@@ -154,6 +209,105 @@ def test_embed_large_target_uses_subfield_route():
     assert mu.evaluate(beta).is_zero()
     x, y = src.gen(), src.gen() + src.one()
     assert embed(x * y, tgt) == embed(x, tgt) * embed(y, tgt)
+
+
+def embedding_pairs(top):
+    return [(d, e) for e in range(2, top + 1) for d in range(2, e) if e % d == 0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_embedding_sends_generator_to_smallest_root(p, fresh_embeddings):
+    for d, e in embedding_pairs(12):
+        ff._EMBED_CACHE.clear()  # chained routes may pick another root (D1)
+        S, T = GF(p, d), GF(p, e)
+        beta = T.element(ff.embedding_matrix(S, T)[:, 1])
+        assert FqPoly.from_ints(T, S.modulus).evaluate(beta).is_zero()
+        # the roots of an irreducible modulus are the Frobenius orbit of one root
+        orbit = [beta]
+        for _ in range(d - 1):
+            orbit.append(orbit[-1] ** p)
+        assert len(set(orbit)) == d
+        assert beta == min(orbit, key=lambda r: r.sort_key()), (d, e)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_embedding_roots_agree_on_both_routes(p, fresh_embeddings, monkeypatch):
+    for d, e in embedding_pairs(12):
+        if p**e > 4096:
+            continue
+        S, T = GF(p, d), GF(p, e)
+        mats = []
+        for scan in (True, False):
+            monkeypatch.setattr(ff, "_scan_is_cheaper", lambda order, deg, s=scan: s)
+            ff._EMBED_CACHE.clear()
+            mats.append(ff.embedding_matrix(S, T))
+        assert np.array_equal(mats[0], mats[1]), (d, e)
+
+
+def all_values(f, K):
+    """Oracle: f at every element of K in index order, by vectorized Horner."""
+    p, k = K.p, K.k
+    n = np.arange(K.order)
+    xs = [(n // p ** (k - 1 - j)) % p for j in range(k)]  # coordinate j of element n
+    acc = [np.zeros(K.order, dtype=np.int64) for _ in range(k)]
+    for c in reversed(f.coeffs):
+        prod = [np.zeros(K.order, dtype=np.int64) for _ in range(2 * k - 1)]
+        for i in range(k):
+            for j in range(k):
+                prod[i + j] += acc[i] * xs[j]
+        for top in range(2 * k - 2, k - 1, -1):  # x^top = x^(top-k) * -(sum mu_t x^t)
+            high = prod[top] % p
+            for t, m in enumerate(K.modulus[:k]):
+                if m:
+                    prod[top - k + t] -= high * m
+        acc = [(prod[i] + c.coords[i]) % p for i in range(k)]
+    return np.stack(acc, axis=1)
+
+
+def planted_poly(K, deg, rng):
+    """Monic degree-deg poly with about deg/2 planted roots (some repeated)."""
+    z = FqPoly.x(K)
+    f = FqPoly.from_ints(K, [1])
+    roots = [K.element_from_index(rng.randrange(K.order)) for _ in range(max(1, deg // 3))]
+    for _ in range(deg // 2):
+        f = f * (z - FqPoly(K, [rng.choice(roots)]))
+    rest = [K.element_from_index(rng.randrange(K.order)) for _ in range(deg - f.degree)]
+    return f * FqPoly(K, rest + [K.one()])
+
+
+ROUTE_GRID = [
+    (101, 2, 2),
+    (2, 16, 4),
+    (2, 4, 16),
+    (7, 2, 49),
+    (3, 2, 3),
+    (5, 2, 6),
+    (2, 8, 5),
+    (3, 4, 8),
+    (2, 6, 1),
+]
+
+
+@pytest.mark.parametrize("p,k,deg", ROUTE_GRID)
+def test_roots_in_routes_agree_with_oracle(p, k, deg, monkeypatch):
+    K = GF(p, k)
+    rng = random.Random(p * 1000 + k * 10 + deg)
+    for _ in range(3):
+        f = planted_poly(K, deg, rng)
+        hits = np.nonzero(~all_values(f, K).any(axis=1))[0]
+        expected = [K.element_from_index(int(i)) for i in hits]
+        cheap = K.order * deg <= 1 << 14  # scanning K is affordable in a test
+        if cheap:
+            assert ff._exhaustive_distinct_roots(f, K) == expected
+        results = [roots_in(f, K)]
+        for scan in (True, False) if cheap else (False,):
+            monkeypatch.setattr(ff, "_scan_is_cheaper", lambda order, d, s=scan: s)
+            results.append(roots_in(f, K))
+        monkeypatch.undo()
+        for got in results:
+            assert [r for r, _ in got] == expected
+            assert got == results[0]
+        assert sum(m for _, m in results[0]) <= deg
 
 
 def test_squarefree_factor_examples():
