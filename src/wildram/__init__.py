@@ -79,6 +79,8 @@ from .monodromy import (  # noqa: F401
     MonodromyLevel,
     ObstructionReport,
     Tower,
+    TowerProjection,
+    TranslationAction,
     char0_obstruction,
     is_free,
     lift_obstruction,

@@ -342,6 +342,14 @@ class FiniteField:
             self._cache["red"] = red
         return red
 
+    def _reduction_rows(self) -> list[list[int]]:
+        """_reduction() as Python int lists, for the pure-Python product."""
+        rows = self._cache.get("red_rows")
+        if rows is None:
+            rows = self._reduction().tolist()
+            self._cache["red_rows"] = rows
+        return rows
+
     def frobenius_matrix(self) -> np.ndarray:
         """Matrix of c -> c^p on coordinates (columns are basis images)."""
         mat = self._cache.get("frob")
@@ -399,14 +407,10 @@ class FiniteField:
                 if ai:
                     for j, bj in enumerate(b):
                         conv[i + j] += ai * bj
-            red = self._reduction()
             out = conv[:k]
-            for j in range(k - 1):
-                c = conv[k + j]
+            for c, row in zip(conv[k:], self._reduction_rows()):
                 if c:
-                    row = red[j]
-                    for t in range(k):
-                        out[t] += c * int(row[t])
+                    out = [o + c * r for o, r in zip(out, row)]
             return tuple(v % p for v in out)
         conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
         out = conv[:k].copy()
@@ -533,9 +537,15 @@ class FieldElement:
 
     def frobenius(self, j: int = 1) -> FieldElement:
         """p^j-th power via the cached Frobenius matrix."""
-        mat = _linalg.matpow(self.field.frobenius_matrix(), j % self.field.k, self.field.p)
-        vec = (mat @ np.asarray(self.coords, dtype=np.int64)) % self.field.p
-        return FieldElement(self.field, tuple(int(v) for v in vec))
+        F = self.field
+        j %= F.k
+        if j == 0:
+            return self
+        mat = F.frobenius_matrix()
+        if j > 1:
+            mat = _linalg.matpow(mat, j, F.p)
+        vec = (mat @ np.asarray(self.coords, dtype=np.int64)) % F.p
+        return FieldElement(F, tuple(int(v) for v in vec))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

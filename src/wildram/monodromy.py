@@ -6,6 +6,15 @@ alpha in Z_n, and the Galois action is translation.  The levels therefore
 carry a free transitive action of an elementary abelian p-group of rank
 m*n, and the tower projections are alpha -> f(alpha).
 
+Every answer comes from a basis of Z_n, never from enumerating the group:
+the basis coordinates have rank m*n over F_p, and root_space certifies
+that Z_n is the whole kernel of f^n and closed under addition, so the
+order is p^(m*n) and the action is free and transitive; p*b = 0 on the
+basis gives exponent p.  A projection is f on the basis of Z_n, and rank
+certificates show that its image is Z_(n-1) and its kernel has order p^m.
+Explicit permutation tables (``GroupAction``) and the literal projection
+``mapping`` are built only when asked for, as oracles.
+
 Characteristic zero cannot reproduce this: a polynomial of degree d has a
 cyclic inertia group of order d over infinity (the d-adic odometer), which
 has elements of unbounded order, and for degree p^M with M >= 3 the
@@ -16,12 +25,16 @@ obstructions are computed exactly here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
-from .addpoly import AdditivePoly, RootSpace, is_separable, iterate, root_space
+import numpy as np
+
+from . import _linalg
+from .addpoly import AdditivePoly, RootSpace, is_separable, root_space
 from .dynsys import ProjPoint, RationalMap, ram_profile
-from .errors import BudgetExceeded, Inseparable, NotPolynomial, NotPrime
+from .errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime
 from .ff import enumeration_budget, is_prime
 
 
@@ -44,8 +57,17 @@ class GroupAction:
 
     @classmethod
     def translation(cls, roots, add=None):
-        """The regular action x -> x + a of an additive group on itself."""
+        """The regular action x -> x + a of an additive group on itself.
+
+        The table has |roots|^2 entries; more than the enumeration budget
+        raises BudgetExceeded before anything is built.
+        """
         elems = list(roots)
+        budget = enumeration_budget()
+        if len(elems) ** 2 > budget:
+            raise BudgetExceeded(
+                f"translation table of {len(elems)}^2 entries exceeds the budget {budget}"
+            )
         if add is None:
             add = lambda a, x: a + x
         perms = {a: {x: add(a, x) for x in elems} for a in elems}
@@ -99,6 +121,55 @@ def stabilizer_orders(action: GroupAction) -> list[int]:
 # Monodromy levels and towers
 # ---------------------------------------------------------------------------
 
+def _coords(elems) -> np.ndarray:
+    return np.array([x.coords for x in elems], dtype=np.int64)
+
+
+class TranslationAction(GroupAction):
+    """Z_n acting on itself by x -> x + a, answered from its basis.
+
+    ``rank`` is the F_p-rank of the basis coordinates.  When it is m*n the
+    action is free and transitive (see the module docstring); in
+    characteristic p every nonzero element has order p.  ``elements`` and
+    ``points`` list Z_n; ``perms``, ``stabilizer_orders()`` and ``table()``
+    go through the explicit GroupAction, built on demand.
+    """
+
+    def __init__(self, space: RootSpace):
+        self.space = space
+        self.rank = _linalg.rank(_coords(space.basis), space.field.p)
+        self.certified = self.rank == space.poly.frobenius_degree * space.level
+
+    @property
+    def elements(self):
+        return list(self.space.all_roots)
+
+    points = elements
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.space.all_roots)
+
+    def table(self) -> GroupAction:
+        """The explicit permutation tables, within the enumeration budget."""
+        return GroupAction.translation(self.space.all_roots)
+
+    @cached_property
+    def perms(self) -> dict:
+        return self.table().perms
+
+    def is_free(self) -> bool:
+        return self.certified
+
+    def is_transitive(self) -> bool:
+        return self.certified
+
+    def element_order(self, g) -> int:
+        if g not in self._members:
+            raise KeyError(g)
+        return 1 if g.is_zero() else self.space.field.p
+
+
 @dataclass(frozen=True)
 class MonodromyLevel:
     """Level n of the tower: Z_n acting on the fiber model by translation.
@@ -110,43 +181,54 @@ class MonodromyLevel:
     poly: AdditivePoly
     level: int
     space: RootSpace
-    action: GroupAction
+    action: TranslationAction
 
     @property
     def order(self) -> int:
-        return len(self.space.all_roots)
+        return self.poly.field.p ** self.space.dimension
 
     def abelian_invariants(self) -> tuple[int, ...]:
-        """Invariant factors, all p: exponent p is verified exhaustively."""
+        """Invariant factors, all p: p*b = 0 on a basis of rank dim Z_n."""
         p = self.poly.field.p
-        for g in self.action.elements:
-            o = self.action.element_order(g)
-            assert o in (1, p), f"element of order {o} in an exponent-{p} group"
-        rank = self.space.dimension
-        return (p,) * rank
+        for b in self.space.basis:
+            assert (b * p).is_zero(), f"basis element of order > {p}"
+        return (p,) * self.space.dimension
+
+
+def _level(f: AdditivePoly, zs: RootSpace) -> MonodromyLevel:
+    action = TranslationAction(zs)
+    assert action.certified, f"basis of Z_{zs.level} has rank {action.rank}"
+    return MonodromyLevel(f, zs.level, zs, action)
 
 
 def monodromy_level(f: AdditivePoly, n: int, budget: int | None = None,
                     ambient=None) -> MonodromyLevel:
-    """Build level n with verified transitivity and freeness."""
+    """Build level n with certified transitivity and freeness."""
     if not is_separable(f):
         raise Inseparable("monodromy needs a separable additive polynomial")
-    zs = root_space(f, n, budget=budget, ambient=ambient)
-    action = GroupAction.translation(list(zs.all_roots))
-    assert action.is_transitive(), "translation action must be transitive"
-    assert action.is_free(), "translation action must be free"
-    assert len(action.elements) == len(action.points)
-    return MonodromyLevel(f, n, zs, action)
+    return _level(f, root_space(f, n, budget=budget, ambient=ambient))
 
 
 @dataclass(frozen=True)
 class TowerProjection:
-    """alpha -> f(alpha) from Z_n onto Z_(n-1): surjective, kernel Z_1."""
+    """alpha -> f(alpha) from Z_n onto Z_(n-1): surjective, kernel Z_1.
+
+    ``images`` are f on the basis of Z_n, certified by rank to span
+    Z_(n-1).  ``mapping`` evaluates f on every element of Z_n, on first
+    access.
+    """
 
     source_level: int
     target_level: int
-    mapping: dict  # element of Z_n -> element of Z_(n-1)
+    images: tuple
     kernel_size: int
+    source: RootSpace = field(repr=False, compare=False)
+    poly: AdditivePoly = field(repr=False, compare=False)  # f over source.field
+
+    @cached_property
+    def mapping(self) -> dict:
+        """Element of Z_n -> element of Z_(n-1), by literal evaluation."""
+        return {alpha: self.poly.evaluate(alpha) for alpha in self.source.all_roots}
 
 
 @dataclass(frozen=True)
@@ -161,11 +243,14 @@ class Tower:
 
 
 def tower(f: AdditivePoly, N: int, budget: int | None = None) -> Tower:
-    """Levels 1..N in a common ambient field with verified projections.
+    """Levels 1..N in a common ambient field with certified projections.
 
     All levels are realized inside the splitting field of f^N so that the
-    projection alpha -> f(alpha) is literal evaluation; surjectivity,
-    kernel size p^m, and equivariance are checked exhaustively.
+    projection alpha -> f(alpha) is literal evaluation.  f is evaluated on
+    the basis of Z_n only: rank([basis Z_(n-1); images]) = rank(basis
+    Z_(n-1)) puts the image inside Z_(n-1), rank(images) = m(n-1) makes it
+    onto, and the kernel has order p^(mn - rank) = p^m.  Equivariance
+    f(x + a) = f(x) + f(a) is the additivity of f.
     """
     if not is_separable(f):
         raise Inseparable("towers need a separable additive polynomial")
@@ -173,39 +258,26 @@ def tower(f: AdditivePoly, N: int, budget: int | None = None) -> Tower:
         budget = enumeration_budget()
     top = root_space(f, N, budget=budget)
     K = top.field
-    levels = []
-    for n in range(1, N + 1):
-        zs = top if n == N else root_space(f, n, budget=budget, ambient=K)
-        action = GroupAction.translation(list(zs.all_roots))
-        assert action.is_transitive() and action.is_free()
-        levels.append(MonodromyLevel(f, n, zs, action))
+    levels = [
+        _level(f, top if n == N else root_space(f, n, budget=budget, ambient=K))
+        for n in range(1, N + 1)
+    ]
     fK = f.map_into(K)
     p = f.field.p
     m = f.frobenius_degree
     projections = []
     for n in range(2, N + 1):
-        upper = levels[n - 1]
-        lower = levels[n - 2]
-        lower_set = set(lower.space.all_roots)
-        mapping = {}
-        kernel = 0
-        for alpha in upper.space.all_roots:
-            img = fK.evaluate(alpha)
-            assert img in lower_set, "projection left the lower root space"
-            mapping[alpha] = img
-            if img.is_zero():
-                kernel += 1
-        assert set(mapping.values()) == lower_set, "projection must be onto"
+        upper, lower = levels[n - 1], levels[n - 2]
+        images = tuple(fK.evaluate(b) for b in upper.space.basis)
+        rows = _coords(images)
+        stacked = np.vstack([_coords(lower.space.basis), rows])
+        assert _linalg.rank(stacked, p) == lower.action.rank, \
+            "projection left the lower root space"
+        rank = _linalg.rank(rows, p)
+        assert rank == m * (n - 1), "projection must be onto"
+        kernel = p ** (m * n - rank)
         assert kernel == p**m, f"kernel size {kernel} != p^m"
-        # equivariance: f(x + a) = f(x) + f(a)
-        roots = list(upper.space.all_roots)
-        step = max(1, len(roots) // 12)
-        for x in roots[::step]:
-            for a in roots[::step]:
-                assert mapping[x + a] == mapping[x] + mapping[a]
-        projections.append(
-            TowerProjection(n, n - 1, mapping, kernel)
-        )
+        projections.append(TowerProjection(n, n - 1, images, kernel, upper.space, fK))
     return Tower(f, tuple(levels), tuple(projections))
 
 
@@ -249,7 +321,7 @@ def char0_obstruction(p: int, m: int) -> ObstructionReport:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
-        raise BudgetExceeded("m must be >= 1")
+        raise BadParameter("m must be >= 1")
     crit_count = 2 * (p**m - 1) // (p - 1)
     divides = crit_count % p ** (m - 1) == 0
     # an inconclusive level passes to an iterate f^n of degree p^(nm), nm >= 3
@@ -317,8 +389,8 @@ def lift_obstruction(f: AdditivePoly, budget: int | None = None) -> LiftObstruct
         p=p,
         ell=ell,
         n=n,
-        level_order=len(level.action.elements),
-        level_points=len(level.action.points),
+        level_order=level.order,
+        level_points=len(level.space.all_roots),
         level_free=level.action.is_free(),
         level_transitive=level.action.is_transitive(),
         invariants=level.abelian_invariants(),
@@ -331,7 +403,7 @@ def wreath_log_order(p: int, n: int) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
-        raise BudgetExceeded("n must be >= 1")
+        raise BadParameter("n must be >= 1")
     return sum(p**i for i in range(n))
 
 

@@ -12,8 +12,8 @@ from wildram.addpoly import (
     recognize_additive,
     root_space,
 )
-from wildram.errors import BudgetExceeded, Inseparable
-from wildram.ff import GF, FqPoly
+from wildram.errors import BadParameter, BudgetExceeded, Inseparable
+from wildram.ff import GF, FqPoly, splitting_degree
 
 
 def random_separable(F, m, rng):
@@ -192,6 +192,44 @@ def test_root_space_errors():
     f = AdditivePoly(F3, [1, 1])
     with pytest.raises(BudgetExceeded):
         root_space(f, 2, budget=5)
+
+
+def test_level_below_one_is_a_bad_parameter():
+    f = AdditivePoly(GF(3), [1, 1])
+    with pytest.raises(BadParameter):
+        root_space(f, 0)
+    with pytest.raises(BadParameter):
+        iterate(f, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_linearized_splitting_degree_matches_dense_oracle(p):
+    # oracle: DDF of the dense f^n of degree p^(mn); the grid stops where
+    # p^(mn) * j > 343, beyond which the dense route takes seconds per case
+    rng = random.Random(p)
+    for j in (1, 2, 3):
+        F = GF(p, j)
+        units = [x for x in F.elements() if not x.is_zero()]
+        az = AdditivePoly(F, [rng.choice(units)])  # a*z: Frobenius degree 0
+        assert az.splitting_degree() == splitting_degree(az.to_fqpoly()) == 1
+        assert root_space(az, 1).field == F
+        for m in (1, 2, 3):
+            n = 1
+            while p ** (m * n) * j <= 343:
+                lead = rng.choice([u for u in units if u != F.one()] or units)
+                middle = [F.element_from_index(rng.randrange(F.order)) for _ in range(m - 1)]
+                fn = iterate(AdditivePoly(F, [rng.choice(units)] + middle + [lead]), n)
+                assert fn.splitting_degree() == splitting_degree(fn.to_fqpoly()), (j, m, n)
+                n += 1
+
+
+def test_linearized_splitting_degree_guards():
+    F3 = GF(3)
+    with pytest.raises(Inseparable):
+        AdditivePoly(F3, [0, 1]).splitting_degree()
+    with pytest.raises(BudgetExceeded):
+        AdditivePoly(F3, [-1, 0, 1]).splitting_degree(budget=8)
+    assert AdditivePoly(F3, [-1, 0, 1]).splitting_degree(budget=9) == 2  # z^9 - z
 
 
 def test_root_space_min_splitting_degree():

@@ -189,6 +189,13 @@ def test_normal_form_and_conjugate_commands(capsys, tmp_path):
     validate(payload, "conjugate.json")
 
 
+def test_obstruction_range_error_exit_code(capsys):
+    code = main(["obstruction", "--p", "2", "--m", "0", "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "m must be >= 1" in err and "Traceback" not in err
+
+
 def test_obstruction_pipeline_command(capsys, tmp_path):
     path = write_additive_json(tmp_path, "f.json", 2, 1, [[1], [1]])
     code, out = run_cli(capsys, "obstruction", "--map", path, "--json")

@@ -137,6 +137,17 @@ def test_field_axioms_random():
                 assert (x + y) ** F.p == x**F.p + y**F.p
 
 
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
+def test_python_product_matches_numpy_route(p, k, monkeypatch):
+    F = GF(p, k)
+    rng = random.Random(k)
+    pairs = [tuple(F.element_from_index(rng.randrange(F.order)) for _ in range(2)) for _ in range(200)]
+    pairs.append((F.element_from_index(F.order - 1),) * 2)  # every coordinate p - 1
+    python = [a * b for a, b in pairs]
+    monkeypatch.setattr(ff, "_NUMPY_MUL_DEGREE", k - 1)
+    assert [a * b for a, b in pairs] == python
+
+
 def test_frobenius_matrix_agrees_with_powering():
     F = GF(3, 4)
     rng = random.Random(1)

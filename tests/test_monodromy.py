@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from wildram.addpoly import AdditivePoly
 from wildram.domains import RationalDomain
 from wildram.dynsys import RationalMap
-from wildram.errors import Inseparable, NotPolynomial, NotPrime
+from wildram.errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime
 from wildram.ff import GF
 from wildram.monodromy import (
     GroupAction,
@@ -92,6 +93,65 @@ def test_tower_z3_minus_z():
     kernel = {a for a, img in proj.mapping.items() if img.is_zero()}
     K = tw.levels[1].space.field
     assert kernel == {K.zero(), K.one(), -K.one()}
+
+
+def _random_separable(F, m, rng):
+    while True:
+        coeffs = [F.element_from_index(rng.randrange(F.order)) for _ in range(m + 1)]
+        if not coeffs[0].is_zero() and not coeffs[m].is_zero():
+            return AdditivePoly(F, coeffs)
+
+
+@pytest.mark.parametrize("p,m,n_max", [(2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2)])
+def test_tables_agree_with_basis_certificates(p, m, n_max):
+    # oracle: the explicit permutation tables and the literal projection
+    # mapping, at the sizes of acceptance criterion 1
+    rng = random.Random(p * 10 + m)
+    F = GF(p, m)
+    for _ in range(2):
+        f = _random_separable(F, m, rng)
+        for n in range(1, n_max + 1):
+            lvl = monodromy_level(f, n)
+            table = lvl.action.table()
+            assert table.is_free() and table.is_transitive()
+            assert lvl.action.is_free() and lvl.action.is_transitive()
+            assert len(table.elements) == len(table.points) == lvl.order == p ** (m * n)
+            orders = {g: table.element_order(g) for g in table.elements}
+            assert orders == {g: lvl.action.element_order(g) for g in lvl.action.elements}
+            assert sorted(set(orders.values())) == [1, p]
+            assert lvl.abelian_invariants() == (p,) * (m * n)
+            assert stabilizer_orders(lvl.action) == [1] * lvl.order
+        tw = tower(f, n_max)
+        for proj, upper, lower in zip(tw.projections, tw.levels[1:], tw.levels):
+            space = upper.space
+            # the literal mapping is the linear extension of the basis images
+            for coeffs in product(range(p), repeat=space.dimension):
+                alpha = sum((b * c for b, c in zip(space.basis, coeffs)), space.field.zero())
+                image = sum((y * c for y, c in zip(proj.images, coeffs)), space.field.zero())
+                assert proj.mapping[alpha] == image
+            assert set(proj.mapping.values()) == set(lower.space.all_roots)
+            kernel = sum(1 for img in proj.mapping.values() if img.is_zero())
+            assert kernel == proj.kernel_size == p**m
+
+
+def test_translation_table_respects_budget(monkeypatch):
+    monkeypatch.setenv("WILDRAM_BUDGET", "1000")
+    lvl = monodromy_level(AdditivePoly(GF(2), [1, 1]), 6)  # |Z_6| = 64 <= 1000 < 64^2
+    assert lvl.order == 64 and lvl.action.is_free() and lvl.action.is_transitive()
+    assert lvl.abelian_invariants() == (2,) * 6
+    with pytest.raises(BudgetExceeded):
+        lvl.action.table()
+    with pytest.raises(BudgetExceeded):
+        lvl.action.perms
+    with pytest.raises(BudgetExceeded):
+        GroupAction.translation(lvl.space.all_roots)
+
+
+def test_range_errors_are_bad_parameters():
+    with pytest.raises(BadParameter):
+        char0_obstruction(2, 0)
+    with pytest.raises(BadParameter):
+        wreath_log_order(3, 0)
 
 
 def test_tower_depth_one():
