@@ -1,7 +1,9 @@
 """The wildram command line.
 
 Exit codes: 0 success, 1 mathematical negative (e.g. maps not conjugate,
-odometer check failed), 2 input/usage error, 3 enumeration budget exceeded.
+odometer check failed), 2 input/usage error (including a malformed map
+file), 3 enumeration budget exceeded, 4 internal verification failed (a
+computed result failed its certificate check: a bug, not bad input).
 All output is deterministic for fixed flags and seed; --json emits
 machine-readable reports that validate against the schemas shipped in
 wildram/schemas/.
@@ -12,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .addpoly import AdditivePoly, recognize_additive
 from .cyclotomic import verify_cyclotomic_identities
 from .domains import coeff_from_json, domain_from_json
 from .dynsys import RationalMap, post_critical_orbit
-from .errors import BudgetExceeded, WildramError
+from .errors import BadInput, BudgetExceeded, CertificateFailed, WildramError
 from .ff import GF, FqPoly, field_from_json
 from .gmlift import (
     build_lift,
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_CERTIFICATE = 4
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -45,26 +49,35 @@ def _emit(args, payload: dict, human: str) -> None:
         sys.stdout.write(human + "\n")
 
 
+@contextmanager
+def _map_file(path: str):
+    """Read a JSON map file; an unreadable or malformed one raises BadInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        yield data
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise BadInput(f"map file {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_map(path: str) -> RationalMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    dom = domain_from_json(data["domain"])
-    num = [coeff_from_json(dom, c) for c in data["num"]]
-    den = (
-        [coeff_from_json(dom, c) for c in data["den"]]
-        if "den" in data and data["den"]
-        else None
-    )
-    return RationalMap(dom, num, den)
+    with _map_file(path) as data:
+        dom = domain_from_json(data["domain"])
+        num = [coeff_from_json(dom, c) for c in data["num"]]
+        den = (
+            [coeff_from_json(dom, c) for c in data["den"]]
+            if "den" in data and data["den"]
+            else None
+        )
+        return RationalMap(dom, num, den)
 
 
 def _load_additive(path: str) -> AdditivePoly:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    F = field_from_json(data["field"])
-    if "a" in data:
-        return AdditivePoly(F, [F.element(c) for c in data["a"]])
-    poly = FqPoly(F, [F.element(c) for c in data["coeffs"]])
+    with _map_file(path) as data:
+        F = field_from_json(data["field"])
+        if "a" in data:
+            return AdditivePoly(F, [F.element(c) for c in data["a"]])
+        poly = FqPoly(F, [F.element(c) for c in data["coeffs"]])
     add = recognize_additive(poly)
     if add is None:
         raise WildramError("input polynomial is not additive")
@@ -72,7 +85,7 @@ def _load_additive(path: str) -> AdditivePoly:
 
 
 def cmd_census(args) -> int:
-    rep = census(args.p, args.m, args.q, jobs=args.jobs)
+    rep = census(args.p, args.m, args.q)
     payload = rep.to_json()
     lines = [
         f"census p={rep.p} m={rep.m} q={rep.q}: {rep.total} maps, "
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled work")
-        p.add_argument("--jobs", type=int, default=1, help="parallel shards")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes (orbit only)")
 
     c = sub.add_parser("census", help="conjugacy census of monic additive maps")
     c.add_argument("--p", type=int, required=True)
@@ -398,10 +411,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
+    except CertificateFailed as exc:
+        sys.stderr.write(f"internal verification failed: {exc}\n")
+        return EXIT_CERTIFICATE
     except WildramError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -88,3 +88,11 @@ class BadParameter(WildramError):
 
 class NotPolynomial(WildramError):
     """A polynomial map was required but a genuine rational map was given."""
+
+
+class BadInput(WildramError):
+    """An input file is malformed: not JSON, or missing or mistyped fields."""
+
+
+class CertificateFailed(WildramError):
+    """An internal verification of a computed result failed (a bug, not bad input)."""

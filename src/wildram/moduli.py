@@ -4,21 +4,25 @@ A monic additive form fixes 0 and infinity and has leading coefficient 1.
 Every affine conjugacy z -> gamma z + delta that preserves monic additive
 shape has gamma a (p^m - 1)-st root of unity and delta/gamma a fixed point
 of the map, which makes the set of monic additive representatives of a
-class finite and enumerable; conjugacy testing and the census reduce to
-that enumeration.  Every returned witness is re-verified through the
-generic conjugation routine, so bookkeeping errors in embeddings cannot
-produce a false positive.
+class finite and enumerable (``conjugating_set``).  Conjugacy testing
+needs only gamma: the conjugated coefficients a_i gamma^(1 - p^i) do not
+depend on delta, and delta = 0 is always allowed (0 is a fixed point).
+Every returned witness is re-verified through the generic conjugation
+routine (``_certify``, kept under ``python -O``), so bookkeeping errors in
+embeddings cannot produce a false positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .addpoly import AdditivePoly, recognize_additive, root_space
 from .domains import FiniteFieldDomain
 from .dynsys import Pgl2, RationalMap, conjugate
 from .errors import (
     BudgetExceeded,
+    CertificateFailed,
     DegreeMismatch,
     Inseparable,
     NotAdditiveShape,
@@ -35,6 +39,12 @@ from .ff import (
     solve_power,
     splitting_degree,
 )
+
+
+def _certify(cond, msg: str) -> None:
+    """Raise CertificateFailed unless cond; unlike assert, kept under -O."""
+    if not cond:
+        raise CertificateFailed(msg)
 
 
 def _parse_additive_with_constant(g) -> tuple[FiniteField, list[FieldElement], FieldElement]:
@@ -134,7 +144,7 @@ def to_monic_additive(g) -> MonicAdditiveForm:
         d = splitting_degree(target)
         E2 = E if d == 1 else GF(p, E.k * d)
         roots = roots_in(target, E2)
-        assert roots, "additive translation equation must split"
+        _certify(roots, "additive translation equation must split")
         c = roots[0][0]
         if E2 != E:
             E = E2
@@ -142,35 +152,37 @@ def to_monic_additive(g) -> MonicAdditiveForm:
             coeffsE = [embed(a, E) for a in coeffsE]
             constE = embed(constE, E)
         monic, new_const = _affine_conjugate_additive(coeffsE, constE, bE, c)
-        assert new_const.is_zero()
+        _certify(new_const.is_zero(), "translation left a constant term")
     result = AdditivePoly(E, monic)
     dom = FiniteFieldDomain(E)
     witness = Pgl2.affine(dom, bE, c)
     # mandatory dual-route verification through the generic machinery
     lhs = conjugate(_as_rational_map(coeffsE, constE, E), witness)
     rhs_map = _as_rational_map(list(result.coeffs), E.zero(), E)
-    assert lhs == rhs_map, "witness verification failed"
+    _certify(lhs == rhs_map, "witness verification failed")
     return MonicAdditiveForm(
         result, witness, F, tuple(coeffs), const
     )
 
 
-def fix_points(g: AdditivePoly) -> tuple[tuple[FieldElement, ...], FiniteField]:
-    """Distinct fixed points of a monic additive map, in a splitting field.
-
-    g(z) - z is additive, so the fixed points form an F_p-vector space;
-    inseparability (z-coefficient 1) collapses it (multiplicity dropped).
-    """
+def _fixed_point_core(g: AdditivePoly) -> AdditivePoly:
+    """Separable additive polynomial with the roots of g(z) - z: its p^e-th
+    root when the low coefficients vanish (multiplicity dropped)."""
     F = g.field
-    p, k = F.p, F.k
     diff = list(g.coeffs)
     diff[0] = diff[0] - F.one()
     e = 0
     while e < len(diff) and diff[e].is_zero():
         e += 1
-    core_coeffs = [c.frobenius((-e) % k) for c in diff[e:]]
-    core = AdditivePoly(F, core_coeffs)
-    zs = root_space(core, 1)
+    return AdditivePoly(F, [c.frobenius((-e) % F.k) for c in diff[e:]])
+
+
+def fix_points(g: AdditivePoly) -> tuple[tuple[FieldElement, ...], FiniteField]:
+    """Distinct fixed points of a monic additive map, in a splitting field.
+
+    g(z) - z is additive, so the fixed points form an F_p-vector space.
+    """
+    zs = root_space(_fixed_point_core(g), 1)
     return zs.all_roots, zs.field
 
 
@@ -210,38 +222,53 @@ def conjugating_set(g: AdditivePoly) -> ConjugatingSet:
             new, new_const = _affine_conjugate_additive(
                 coeffsE, E.zero(), gamma, delta
             )
-            assert new[-1] == E.one() and new_const.is_zero(), (
-                "enumerated map failed the monic additive check"
+            _certify(
+                new[-1] == E.one() and new_const.is_zero(),
+                "enumerated map failed the monic additive check",
             )
             maps.append(Pgl2.affine(dom, gamma, delta))
-    assert len(maps) <= (p**m - 1) * len(fixed)
+    _certify(len(maps) <= (p**m - 1) * len(fixed), "conjugating set exceeds its bound")
     return ConjugatingSet(g, E, tuple(maps))
 
 
 def are_conjugate(g1: AdditivePoly, g2: AdditivePoly) -> Pgl2 | None:
     """Witness phi with conjugate(g1, phi) = g2, or None.
 
-    Complete for monic additive inputs: all monic additive forms in the
-    class of g1 are exactly its conjugates under the conjugating set.
+    Complete for monic additive inputs (others raise NotAdditiveShape): all
+    monic additive forms in the class of g1 are exactly its conjugates
+    under ``conjugating_set(g1)``.  Those depend on gamma alone and delta = 0
+    is in the set for every gamma, so gamma is walked in the set's order and
+    field; the witness is the set's first map carrying g1 to g2, z -> gamma z,
+    over the common overfield of the set's field and g2's field.
     """
-    if g1.field.p != g2.field.p or g1.frobenius_degree != g2.frobenius_degree:
+    F, p, m = g1.field, g1.field.p, g1.frobenius_degree
+    if p != g2.field.p or m != g2.frobenius_degree:
         raise DegreeMismatch("maps must share p and degree")
-    cs = conjugating_set(g1)
-    E = common_overfield(cs.field, g2.field)
-    dom = FiniteFieldDomain(E)
-    g2E = [embed(a, E) for a in g2.coeffs]
-    g1E = [embed(a, E) for a in g1.coeffs]
-    for phi in cs.maps:
-        g0, d0 = phi.affine_parts()
-        gamma = embed(g0, E)
-        delta = embed(d0, E)
-        new, new_const = _affine_conjugate_additive(g1E, E.zero(), gamma, delta)
-        if new == g2E and new_const.is_zero():
-            witness = Pgl2.affine(dom, gamma, delta)
+    if g1.coeffs[-1] != F.one() or g2.coeffs[-1] != g2.field.one():
+        raise NotAdditiveShape("both maps must be monic additive; see to_monic_additive")
+    if F == g2.field and g1.coeffs[0] != g2.coeffs[0]:
+        return None  # the multiplier at the fixed point 0 is an invariant
+    units = GF(p, m)
+    # the field of fix_points(g1), without enumerating the points; like
+    # root_space, splitting_degree raises BudgetExceeded past the budget
+    Kfix = GF(p, F.k * _fixed_point_core(g1).splitting_degree(enumeration_budget()))
+    cs_field = common_overfield(F, units, Kfix)
+    E = common_overfield(cs_field, g2.field)
+    gammas = sorted(
+        (embed(x, cs_field) for x in units.elements() if not x.is_zero()),
+        key=lambda x: x.sort_key(),
+    )
+    b = [embed(c, E) for c in g2.coeffs]
+    a = [embed(c, E) for c in g1.coeffs]
+    for gamma in gammas:
+        gamma = embed(gamma, E)
+        # a_i gamma^(1 - p^i) = b_i, as a_i gamma = b_i gamma^(p^i), lazily
+        powers = accumulate(range(m), lambda x, _: x.frobenius(), initial=gamma)
+        if all(ai * gamma == bi * power for ai, bi, power in zip(a, b, powers)):
+            witness = Pgl2.affine(FiniteFieldDomain(E), gamma, E.zero())
             # soundness: re-verify through generic conjugation
-            lhs = conjugate(_as_rational_map(g1E, E.zero(), E), witness)
-            rhs = _as_rational_map(g2E, E.zero(), E)
-            assert lhs == rhs, "witness verification failed"
+            lhs = conjugate(_as_rational_map(a, E.zero(), E), witness)
+            _certify(lhs == _as_rational_map(b, E.zero(), E), "witness verification failed")
             return witness
     return None
 
@@ -299,31 +326,14 @@ def _field_of_order(p: int, q: int) -> FiniteField:
     return GF(p, max(k, 1))
 
 
-def _census_pair_worker(task):
-    """Decide conjugacy for a shard of index pairs (spawned per --jobs shard)."""
-    p, m, q, pairs = task
-    polys = list(enumerate_census_polys(p, m, q))
-    out = []
-    for i, j in pairs:
-        w = are_conjugate(polys[i], polys[j])
-        parts = None
-        if w is not None:
-            wg, wd = w.affine_parts()
-            parts = (tuple(wg.coords), tuple(wd.coords))
-        out.append((i, j, parts))
-    return out
-
-
 def census(p: int, m: int, q: int, budget: int | None = None,
-           keep_witnesses: int = 3, jobs: int = 1) -> CensusReport:
+           keep_witnesses: int = 3) -> CensusReport:
     """Partition the enumerated monic additive separable family by conjugacy.
 
     The z-coefficient is the multiplier at the fixed point 0 and is equal
     across all monic additive members of a class, so it prefilters the
     pairwise tests.  Fibers of the coefficient parametrization are class
-    sizes; each is checked against the (p^m - 1) * |Fix| bound.  With
-    jobs > 1 the pair decisions are sharded across processes and merged in
-    sorted order, so the report is identical to the sequential one.
+    sizes; each is checked against the (p^m - 1) * |Fix| bound.
     """
     if budget is None:
         budget = enumeration_budget()
@@ -331,7 +341,7 @@ def census(p: int, m: int, q: int, budget: int | None = None,
     if total > budget:
         raise BudgetExceeded(f"census size {total} exceeds budget {budget}")
     polys = list(enumerate_census_polys(p, m, q))
-    assert len(polys) == total
+    _certify(len(polys) == total, f"enumerated {len(polys)} maps, expected {total}")
     # group by the invariant z-coefficient first
     groups: dict[tuple, list[int]] = {}
     for i, g in enumerate(polys):
@@ -351,47 +361,27 @@ def census(p: int, m: int, q: int, budget: int | None = None,
             lo, hi = min(ri, rj), max(ri, rj)
             parent[hi] = lo
 
-    all_pairs = []
+    witness_samples = []
     for key in sorted(groups):
         idxs = groups[key]
-        for ii in range(len(idxs)):
-            for jj in range(ii + 1, len(idxs)):
-                all_pairs.append((idxs[ii], idxs[jj]))
-
-    witness_samples = []
-
-    def record(i, j, parts):
-        union(i, j)
-        if len(witness_samples) < keep_witnesses:
-            witness_samples.append(
-                {
-                    "first": [list(c.coords) for c in polys[i].coeffs],
-                    "second": [list(c.coords) for c in polys[j].coeffs],
-                    "gamma": list(parts[0]),
-                    "delta": list(parts[1]),
-                }
-            )
-
-    if jobs > 1 and len(all_pairs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        shards = [(p, m, q, all_pairs[w::jobs]) for w in range(jobs)]
-        results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_census_pair_worker, shards):
-                results.extend(chunk)
-        results.sort(key=lambda t: (t[0], t[1]))
-        for i, j, parts in results:
-            if parts is not None:
-                record(i, j, parts)
-    else:
-        for i, j in all_pairs:
-            if find(i) == find(j):
-                continue
-            w = are_conjugate(polys[i], polys[j])
-            if w is not None:
-                wg, wd = w.affine_parts()
-                record(i, j, (tuple(wg.coords), tuple(wd.coords)))
+        for ii, i in enumerate(idxs):
+            for j in idxs[ii + 1:]:
+                if find(i) == find(j):
+                    continue
+                w = are_conjugate(polys[i], polys[j])
+                if w is None:
+                    continue
+                union(i, j)
+                if len(witness_samples) < keep_witnesses:
+                    gamma, delta = w.affine_parts()
+                    witness_samples.append(
+                        {
+                            "first": [list(c.coords) for c in polys[i].coeffs],
+                            "second": [list(c.coords) for c in polys[j].coeffs],
+                            "gamma": list(gamma.coords),
+                            "delta": list(delta.coords),
+                        }
+                    )
     classes: dict[int, list[int]] = {}
     for i in range(total):
         classes.setdefault(find(i), []).append(i)

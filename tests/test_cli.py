@@ -245,3 +245,62 @@ def test_budget_env_override(capsys, monkeypatch):
     code, _ = run_cli(capsys, "census", "--p", "3", "--m", "1", "--q", "9", "--json")
     assert code == 3
     monkeypatch.delenv("WILDRAM_BUDGET")
+
+
+def test_census_output_does_not_depend_on_jobs(capsys):
+    argv = ["census", "--p", "5", "--m", "2", "--q", "5", "--json"]
+    code, seq = run_cli(capsys, *argv)
+    assert code == 0
+    code, par = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert json.loads(seq)["witness_samples"]
+    assert json.loads(seq) == json.loads(par)
+
+
+GOOD_F3 = {"field": {"p": 3, "k": 1, "modulus": [0, 1]}, "a": [[2], [1]]}
+MALFORMED_MAPS = {
+    "truncated": json.dumps(GOOD_F3)[:25],
+    "no_field": json.dumps({"a": [[2], [1]]}),
+    "no_coeffs": json.dumps({"field": GOOD_F3["field"]}),
+    "not_additive": json.dumps({"field": GOOD_F3["field"], "coeffs": [[0], [1], [1]]}),
+    "field_not_object": json.dumps({"field": 3, "a": [[2], [1]]}),
+    "missing_file": None,
+}
+
+
+@pytest.mark.parametrize("command", ["conjugate", "normal-form"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+def test_malformed_map_file_exits_2(capsys, tmp_path, command, case):
+    bad = tmp_path / "bad.json"
+    if MALFORMED_MAPS[case] is not None:
+        bad.write_text(MALFORMED_MAPS[case])
+    good = write_map_json(tmp_path, "good.json", GOOD_F3)
+    if command == "conjugate":
+        argv = ["conjugate", "--first", str(bad), "--second", good]
+    else:
+        argv = ["normal-form", "--map", str(bad)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"domain": {"kind": "finite', '{"num": [[1]]}'])
+def test_malformed_rational_map_file_exits_2(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["pco", "--map", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):
+    from wildram import moduli
+
+    monkeypatch.setattr(moduli, "conjugate", lambda f, phi: phi.as_map())
+    f1 = write_additive_json(tmp_path, "f1.json", 3, 1, [[2], [1]])
+    code = main(["conjugate", "--first", f1, "--second", f1])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("internal verification failed") and "Traceback" not in err

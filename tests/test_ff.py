@@ -191,15 +191,6 @@ def test_embed_chain_consistency():
     assert via_mid * via_mid + via_mid + F8_.one() == F8_.zero()
 
 
-@pytest.fixture
-def fresh_embeddings():
-    saved = dict(ff._EMBED_CACHE)
-    ff._EMBED_CACHE.clear()
-    yield
-    ff._EMBED_CACHE.clear()
-    ff._EMBED_CACHE.update(saved)
-
-
 def test_embed_composes_through_cached_intermediates(fresh_embeddings):
     # with the two small embeddings chosen first, the big one is their composite
     F4, F16, F256 = GF(2, 2), GF(2, 4), GF(2, 8)

@@ -1,3 +1,10 @@
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from wildram.addpoly import AdditivePoly, recognize_additive
@@ -6,13 +13,17 @@ from wildram.dynsys import Pgl2, conjugate
 from wildram.errors import DegreeMismatch, Inseparable, NotAdditiveShape
 from wildram.ff import GF, FqPoly, common_overfield, embed
 from wildram.moduli import (
+    _affine_conjugate_additive,
     _as_rational_map,
     are_conjugate,
     census,
     conjugating_set,
+    enumerate_census_polys,
     fix_points,
     to_monic_additive,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_affine_monicizers(g: FqPoly, E):
@@ -280,3 +291,130 @@ def test_round_trip_every_census_poly():
     for g in enumerate_census_polys(3, 1, 9):
         nf = to_monic_additive(g)
         assert nf.poly.coeffs[-1] == nf.field.one()
+
+
+def enumeration_oracle(g1, g2):
+    """Conjugacy by enumeration: conjugate g1 by every map of its conjugating
+    set, in order, and return the first that gives g2 (over the common
+    overfield of the set's field and g2's field)."""
+    if g1.field.p != g2.field.p or g1.frobenius_degree != g2.frobenius_degree:
+        raise DegreeMismatch("maps must share p and degree")
+    cs = conjugating_set(g1)
+    E = common_overfield(cs.field, g2.field)
+    g2E = [embed(a, E) for a in g2.coeffs]
+    g1E = [embed(a, E) for a in g1.coeffs]
+    for phi in cs.maps:
+        g0, d0 = phi.affine_parts()
+        gamma, delta = embed(g0, E), embed(d0, E)
+        new, new_const = _affine_conjugate_additive(g1E, E.zero(), gamma, delta)
+        if new == g2E and new_const.is_zero():
+            return Pgl2.affine(FiniteFieldDomain(E), gamma, delta)
+    return None
+
+
+def assert_matches_oracle(g1, g2):
+    want = enumeration_oracle(g1, g2)
+    got = are_conjugate(g1, g2)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want and got.domain.field == want.domain.field
+    return got
+
+
+def same_multiplier_pairs(polys):
+    return [(g, h) for g in polys for h in polys if g.coeffs[0] == h.coeffs[0]]
+
+
+@pytest.mark.parametrize("family", [(2, 2, 4), (2, 3, 2), (3, 2, 3), (3, 1, 9), (5, 1, 5)])
+def test_are_conjugate_matches_enumeration_on_census_families(family):
+    found = [
+        assert_matches_oracle(g, h) is not None
+        for g, h in same_multiplier_pairs(list(enumerate_census_polys(*family)))
+    ]
+    assert any(found)
+
+
+def test_are_conjugate_matches_enumeration_on_sampled_2_2_8():
+    pairs = same_multiplier_pairs(list(enumerate_census_polys(2, 2, 8)))
+    sample = random.Random(228).sample(pairs, 40)
+    found = [assert_matches_oracle(g, h) is not None for g, h in sample]
+    assert any(found) and not all(found)
+
+
+def test_are_conjugate_matches_enumeration_into_larger_field(fresh_embeddings):
+    # g1 over GF(2, 2); g2 over GF(2, 4): the scaled images of g1 by every
+    # gamma in F_4^x, and every other family member with g1's multiplier.
+    # The images are found only while F_4 -> F_16 -> E equals F_4 -> E,
+    # which a history of other embeddings can break (ROADMAP D1).
+    F4, F16 = GF(2, 2), GF(2, 4)
+    polys = list(enumerate_census_polys(2, 2, 4))
+    found = []
+    for g in polys:
+        for gamma in F4.elements():
+            if gamma.is_zero():
+                continue
+            image, _ = _affine_conjugate_additive(list(g.coeffs), F4.zero(), gamma, F4.zero())
+            h = AdditivePoly(F16, [embed(c, F16) for c in image])
+            assert assert_matches_oracle(g, h) is not None
+        for h in polys:
+            if h.coeffs[0] == g.coeffs[0]:
+                found.append(assert_matches_oracle(g, h.map_into(F16)) is not None)
+    assert any(found) and not all(found)
+
+
+def test_are_conjugate_degree_mismatch_like_enumeration():
+    g = AdditivePoly(GF(3), [1, 1])
+    for h in (AdditivePoly(GF(3), [1, 0, 1]), AdditivePoly(GF(2), [1, 1]),
+              AdditivePoly(GF(3, 2), [1, 0, 1])):
+        with pytest.raises(DegreeMismatch):
+            enumeration_oracle(g, h)
+        with pytest.raises(DegreeMismatch):
+            are_conjugate(g, h)
+
+
+def test_are_conjugate_rejects_non_monic_maps():
+    # 2z^3 + z is conjugate to z^3 + z (its normal form) by a scaling outside
+    # F_3^x, which the scaling walk would miss: refuse rather than say None
+    monic, lead2 = AdditivePoly(GF(3), [1, 1]), AdditivePoly(GF(3), [1, 2])
+    nf = to_monic_additive(lead2)
+    assert list(nf.poly.coeffs) == [embed(c, nf.field) for c in monic.coeffs]
+    for g1, g2 in ((lead2, monic), (monic, lead2), (lead2, lead2)):
+        with pytest.raises(NotAdditiveShape):
+            are_conjugate(g1, g2)
+
+
+def test_census_2_3_4():
+    rep = census(2, 3, 4)
+    assert rep.total == 48 and rep.class_count == 48
+    assert rep.bound_ok
+
+
+def test_witness_check_runs_under_python_O():
+    # a wrong generic conjugation must still be caught when asserts are off
+    child = textwrap.dedent(
+        """
+        import sys
+        from wildram import moduli
+        from wildram.addpoly import AdditivePoly
+        from wildram.errors import CertificateFailed
+        from wildram.ff import GF
+
+        assert False, "asserts are on"
+        moduli.conjugate = lambda f, phi: phi.as_map()
+        g = AdditivePoly(GF(3), [1, 1])
+        try:
+            moduli.are_conjugate(g, g)
+        except CertificateFailed as exc:
+            print("CertificateFailed:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "witness verification failed" in proc.stdout
