@@ -60,6 +60,14 @@ def _map_file(path: str):
         raise BadInput(f"map file {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """Parse a comma-separated list of integers; anything else raises BadInput."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise BadInput(f"{flag} expects comma-separated integers, got {text!r}") from exc
+
+
 def _load_map(path: str) -> RationalMap:
     with _map_file(path) as data:
         dom = domain_from_json(data["domain"])
@@ -229,7 +237,7 @@ def cmd_lift(args) -> int:
     if args.reduce:
         if args.sbar is None:
             raise WildramError("--reduce needs --sbar")
-        coords = [int(v) for v in args.sbar.split(",")]
+        coords = _int_list("--sbar", args.sbar)
         K = GF(args.p, max(args.sbar_degree, len(coords)))
         sbar = K.element(coords + [0] * (K.k - len(coords)))
         reduced = reduce_lift(L, sbar)
@@ -279,7 +287,7 @@ def _orbit_worker(task):
 
 
 def cmd_orbit(args) -> int:
-    avals = sorted({int(v) for v in str(args.a).split(",")})
+    avals = sorted(set(_int_list("--a", args.a)))
     tasks = [(args.p, a, args.max_steps) for a in avals]
     if args.jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

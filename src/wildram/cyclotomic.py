@@ -1,10 +1,18 @@
 """Exact arithmetic in Q(zeta_p) and in the s-rings Q(zeta_p)[s]/(s^(p-1) - a).
 
 Elements of Q(zeta_p) are stored on the power basis 1, zeta, ..., zeta^(p-2)
-with big-rational coordinates, reduced modulo the p-th cyclotomic polynomial.
+as integer numerators over one positive common denominator, kept canonical
+(the gcd of the denominator and all numerators is 1).  Equality and hashing
+compare integer tuples; a product is one integer cyclic convolution modulo
+zeta^p - 1, one fold by the p-th cyclotomic polynomial and one gcd.
+``coords`` gives the same coordinates as a tuple of Fractions.
+
 The valuation at the totally ramified prime above p is normalized so that
-v(lambda) = 1 for lambda = zeta - 1, hence v(p) = p - 1; since the residue
-degree is 1 it can be computed as the p-adic valuation of the norm.
+v(lambda) = 1 for lambda = zeta - 1, hence v(p) = p - 1.  It is read off the
+lambda-adic digits: 1, lambda, ..., lambda^(p-2) is an integral basis of
+Z_p[zeta_p], and the valuations (p-1) v_p(b) + j of the terms b lambda^j are
+pairwise distinct, so the smallest of them is the valuation of the sum.
+``norm`` (the product of the Galois conjugates) is kept as its oracle.
 
 p = 2 degenerates gracefully: zeta_2 = -1, lambda = -2, and everything
 collapses to plain rational arithmetic.
@@ -13,62 +21,89 @@ collapses to plain rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from functools import lru_cache
+from math import comb, gcd, inf, lcm
+from operator import add, mul, sub
 
 from .errors import (
     BadDenominator,
     BadResidueChoice,
+    BudgetExceeded,
     NegativeValuation,
     NotPrime,
     ZeroDivisor,
+    _certify,
 )
-from .ff import FieldElement, is_prime
+from .ff import FieldElement, enumeration_budget, is_prime
 
 INFINITE = inf  # valuation of zero
 
+_setattr = object.__setattr__
+
+
+def check_cyclotomic_budget(p: int) -> None:
+    """Refuse Q(zeta_p) work beyond the budget before any of it starts.
+
+    A product in Q(zeta_p)[s]/(s^(p-1) - a), the step of the lift, its
+    orbits and the scaling check, is (p-1)^2 products in Q(zeta_p) of
+    (p-1)^2 integer products each: (p-1)^4 is the size checked.
+    """
+    need, budget = (p - 1) ** 4, enumeration_budget()
+    if need > budget:
+        raise BudgetExceeded(
+            f"Q(zeta_{p}) arithmetic of size (p-1)^4 = {need} exceeds the budget "
+            f"{budget}; set WILDRAM_BUDGET to allow more"
+        )
+
 
 class CyclotomicNumber:
-    """Element of Q(zeta_p): coords c_0..c_(p-2) for sum c_i zeta^i."""
+    """Element of Q(zeta_p): sum of (num[i]/den) zeta^i for i = 0..p-2.
 
-    __slots__ = ("p", "coords")
+    ``num`` is a tuple of ints and ``den`` a positive int with
+    gcd(den, *num) = 1, so equal elements have equal ``num`` and ``den``.
+    """
+
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coords):
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coordinates for Q(zeta_{p})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", cs)
+        # the lcm of reduced denominators is already canonical
+        den = lcm(*(c.denominator for c in cs))
+        _setattr(self, "p", p)
+        _setattr(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        _setattr(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates c_0..c_(p-2) as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_rational(cls, p: int, value) -> CyclotomicNumber:
-        return cls(p, (Fraction(value),) + (Fraction(0),) * (p - 2))
+        if type(value) is int:
+            return _raw(p, (value,) + (0,) * (p - 2), 1)
+        q = Fraction(value)
+        return _raw(p, (q.numerator,) + (0,) * (p - 2), q.denominator)
 
     @classmethod
     def zeta(cls, p: int, i: int = 1) -> CyclotomicNumber:
-        return cls._from_zeta_powers(p, {i % p: Fraction(1)})
+        i %= p
+        if i == p - 1:  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+            return _raw(p, (-1,) * (p - 1), 1)
+        return _raw(p, tuple(int(j == i) for j in range(p - 1)), 1)
 
     @classmethod
     def lam(cls, p: int) -> CyclotomicNumber:
         """lambda = zeta_p - 1, the uniformizer above p."""
         return cls.zeta(p) - cls.from_rational(p, 1)
-
-    @classmethod
-    def _from_zeta_powers(cls, p: int, powers: dict[int, Fraction]) -> CyclotomicNumber:
-        # reduce zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) and zeta^p = 1
-        coords = [Fraction(0)] * (p - 1)
-        for e, c in powers.items():
-            e %= p
-            if e < p - 1:
-                coords[e] += c
-            else:
-                for j in range(p - 1):
-                    coords[j] -= c
-        return cls(p, coords)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -80,32 +115,22 @@ class CyclotomicNumber:
         return CyclotomicNumber.from_rational(self.p, other)
 
     def __add__(self, other):
-        o = self._check(other)
-        return CyclotomicNumber(self.p, [a + b for a, b in zip(self.coords, o.coords)])
+        return _add_sub(self, self._check(other), add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._check(other)
-        return CyclotomicNumber(self.p, [a - b for a, b in zip(self.coords, o.coords)])
+        return _add_sub(self, self._check(other), sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CyclotomicNumber(self.p, [-a for a in self.coords])
+        return _raw(self.p, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         o = self._check(other)
-        p = self.p
-        prod: dict[int, Fraction] = {}
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    prod[(i + j) % p] = prod.get((i + j) % p, Fraction(0)) + a * b
-        return CyclotomicNumber._from_zeta_powers(p, prod)
+        return _canon(self.p, _convolve(self.p, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -124,60 +149,62 @@ class CyclotomicNumber:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def inverse(self) -> CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # product of the other Galois conjugates over the rational norm
-        num = CyclotomicNumber.from_rational(self.p, 1)
-        for j in range(2, self.p):
-            num = num * self.conjugate(j)
-        n = (self * num).coords[0]  # = Norm(self), a rational
-        return num * CyclotomicNumber.from_rational(self.p, Fraction(1) / n)
+        p, num = self.p, self.num
+        # x = N/den with N integral: 1/x = den * (other conjugates of N) / Norm(N)
+        others = (1,) + (0,) * (p - 2)
+        for j in range(2, p):
+            others = _convolve(p, others, _permute(p, num, j))
+        norm = _convolve(p, num, others)
+        _certify(not any(norm[1:]), "the norm of an element is not rational")
+        n = norm[0]
+        scale = self.den if n > 0 else -self.den
+        return _canon(p, [c * scale for c in others], abs(n))
 
     def conjugate(self, j: int) -> CyclotomicNumber:
         """Galois conjugate zeta -> zeta^j for j prime to p."""
-        powers: dict[int, Fraction] = {}
-        for i, c in enumerate(self.coords):
-            if c:
-                powers[(i * j) % self.p] = powers.get((i * j) % self.p, Fraction(0)) + c
-        return CyclotomicNumber._from_zeta_powers(self.p, powers)
+        if j % self.p == 0:
+            raise ValueError(f"zeta -> zeta^{j} is not an automorphism of Q(zeta_{self.p})")
+        # an automorphism keeps the least common denominator: no gcd needed
+        return _raw(self.p, _permute(self.p, self.num, j), self.den)
 
     def norm(self) -> Fraction:
         """Product of all p-1 Galois conjugates; an exact rational."""
         out = CyclotomicNumber.from_rational(self.p, 1)
         for j in range(1, self.p):
             out = out * self.conjugate(j)
-        assert all(c == 0 for c in out.coords[1:])
+        _certify(out.is_rational(), "the norm of an element is not rational")
         return out.coords[0]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def is_integral(self) -> bool:
         """All power-basis coordinates integral (Z[zeta_p] is the maximal order)."""
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            return other.p == self.p and other.den == self.den and other.num == self.num
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(self.p, other)
-        return (
-            isinstance(other, CyclotomicNumber)
-            and other.p == self.p
-            and other.coords == self.coords
-        )
+            return self.is_rational() and Fraction(self.num[0], self.den) == other
+        return False
 
     def __hash__(self):
-        return hash((self.p, self.coords))
+        return hash((self.p, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -197,71 +224,130 @@ class CyclotomicNumber:
         return cls(int(d["p"]), [Fraction(n, m) for n, m in d["coords"]])
 
 
-def _vp(x: Fraction, p: int) -> int | float:
-    if x == 0:
-        return INFINITE
+def _raw(p: int, num: tuple, den: int) -> CyclotomicNumber:
+    """An element from numerators and a denominator already in canonical form."""
+    x = object.__new__(CyclotomicNumber)
+    _setattr(x, "p", p)
+    _setattr(x, "num", num)
+    _setattr(x, "den", den)
+    return x
+
+
+def _canon(p: int, num, den: int) -> CyclotomicNumber:
+    """An element from integer numerators over den > 0, divided by their gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _raw(p, tuple(c // g for c in num), den // g)
+    return _raw(p, tuple(num), den)
+
+
+def _add_sub(x: CyclotomicNumber, y: CyclotomicNumber, op) -> CyclotomicNumber:
+    d, e = x.den, y.den
+    if d == e:
+        return _canon(x.p, tuple(map(op, x.num, y.num)), d)
+    g = gcd(d, e)
+    sx, sy = e // g, d // g
+    return _canon(x.p, [op(a * sx, b * sy) for a, b in zip(x.num, y.num)], d * sx)
+
+
+def _convolve(p: int, a: tuple, b: tuple) -> list:
+    """Numerators of a * b: cyclic convolution mod zeta^p - 1, folded by Phi_p.
+
+    With B = b padded by a zero to length p, the zeta^k coefficient of the
+    cyclic product is sum_i a_i B[(k - i) mod p]; the reversed, doubled B
+    turns each of these into one slice.
+    """
+    rb = [0, *reversed(b)] * 2
+    c = [sum(map(mul, a, rb[s:s + p - 1])) for s in range(p - 1, -1, -1)]
+    top = c[p - 1]  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    return [x - top for x in c[:p - 1]]
+
+
+def _permute(p: int, num: tuple, j: int) -> tuple:
+    """Numerators of the conjugate zeta -> zeta^j (j prime to p)."""
+    v = [0] * p
+    for i, c in enumerate(num):
+        v[i * j % p] = c
+    top = v[p - 1]
+    return tuple(x - top for x in v[:p - 1])
+
+
+@lru_cache(maxsize=None)
+def _digit_rows(p: int) -> tuple:
+    """Row j holds C(i, j) for i = 0..p-2: zeta^i = sum_j C(i, j) lambda^j."""
+    return tuple(tuple(comb(i, j) for i in range(p - 1)) for j in range(p - 1))
+
+
+def _ord(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
 def lambda_val(x: CyclotomicNumber) -> int | float:
     """Valuation at the prime above p, normalized with v(lambda) = 1.
 
-    The prime is totally ramified with residue degree 1, so the valuation
-    equals the p-adic valuation of the rational norm.
+    With b_j = sum_i C(i, j) num_i the lambda-adic digits of the numerator
+    (its coordinates on the integral basis 1, lambda, ..., lambda^(p-2)),
+    v(x) = min_j ((p-1) v_p(b_j) + j) - (p-1) v_p(den): the candidates are
+    pairwise distinct mod p - 1, so the minimum is attained.  O(p^2)
+    integer operations, against the O(p^3) products of taking the norm.
     """
     if x.is_zero():
         return INFINITE
-    return _vp(x.norm(), x.p)
+    p, num = x.p, x.num
+    best = INFINITE
+    for j, row in enumerate(_digit_rows(p)):
+        b = sum(map(mul, row, num))
+        if b:
+            best = min(best, (p - 1) * _ord(b, p) + j)
+    return best - (p - 1) * _ord(x.den, p)
 
 
 def residue(x: CyclotomicNumber) -> int:
     """Image in the residue field F_p (as an int in [0, p)): zeta -> 1, mod p."""
-    if any(c.denominator % x.p == 0 for c in x.coords):
+    if x.den % x.p == 0:
         raise BadDenominator("a coordinate denominator is divisible by p")
     if lambda_val(x) < 0:
         raise NegativeValuation("element has a pole above p")
-    total = sum(x.coords, Fraction(0))
-    num, den = total.numerator, total.denominator
-    return num * pow(den, -1, x.p) % x.p
+    return sum(x.num) * pow(x.den, -1, x.p) % x.p
 
 
 def verify_cyclotomic_identities(p: int) -> dict:
     """Exact checks: prod(1 - zeta^i) = p, v(p) = p-1, Wilson residue, digits.
 
-    Returns a report dict; raises AssertionError on any failure.
+    Returns a report dict; raises CertificateFailed on any failure (also
+    under ``python -O``), NotPrime for composite p and BudgetExceeded
+    beyond ``check_cyclotomic_budget``.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    check_cyclotomic_budget(p)
     one = CyclotomicNumber.from_rational(p, 1)
     zeta = CyclotomicNumber.zeta(p)
     prod = one
     for i in range(1, p):
         prod = prod * (one - zeta**i)
-    assert prod == p, f"prod(1 - zeta^i) = {prod!r} != {p}"
+    _certify(prod == p, f"prod(1 - zeta^i) = {prod!r} != {p}")
 
     lam = CyclotomicNumber.lam(p)
-    assert lambda_val(lam) == 1
-    assert lambda_val(CyclotomicNumber.from_rational(p, p)) == p - 1
-    assert lambda_val(zeta) == 0
+    _certify(lambda_val(lam) == 1, "v(lambda) != 1")
+    _certify(lambda_val(CyclotomicNumber.from_rational(p, p)) == p - 1, "v(p) != p - 1")
+    _certify(lambda_val(zeta) == 0, "v(zeta) != 0")
 
     unit = CyclotomicNumber.from_rational(p, p) / lam ** (p - 1)
     wilson = residue(unit)
-    assert wilson == (-1) % p, f"residue(p/lambda^(p-1)) = {wilson}"
+    _certify(wilson == (-1) % p, f"residue(p/lambda^(p-1)) = {wilson}")
 
     digit_checks = []
     for i in range(1, p):
         partial = sum((zeta**j for j in range(i)), CyclotomicNumber.from_rational(p, 0))
         r = residue(partial)
-        assert r == i % p
+        _certify(r == i % p, f"residue(1 + ... + zeta^{i - 1}) = {r} != {i % p}")
         digit_checks.append(r)
 
     return {

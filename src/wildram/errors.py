@@ -96,3 +96,9 @@ class BadInput(WildramError):
 
 class CertificateFailed(WildramError):
     """An internal verification of a computed result failed (a bug, not bad input)."""
+
+
+def _certify(cond, msg: str) -> None:
+    """Raise CertificateFailed unless cond; unlike assert, kept under -O."""
+    if not cond:
+        raise CertificateFailed(msg)

@@ -20,9 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, inf
 
-from .cyclotomic import CyclotomicNumber, SRing, SRingElement, lambda_val, residue
+from .cyclotomic import (
+    CyclotomicNumber,
+    SRing,
+    SRingElement,
+    check_cyclotomic_budget,
+    lambda_val,
+    residue,
+)
 from .domains import _rational_roots
-from .errors import BadParameter, BudgetExceeded, NegativeValuation
+from .errors import BadParameter, BudgetExceeded, NegativeValuation, _certify
 from .ff import FieldElement, FqPoly, is_prime
 
 
@@ -224,10 +231,13 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
 
     Closed form: coefficient of z^(p-i) is binom(p, i) s^i / lambda^i for
     0 <= i <= p-1, constant term 0; the cyclotomic part of the z^(p-i)
-    coefficient has lambda-valuation p-1-i for 1 <= i <= p-1.
+    coefficient has lambda-valuation p-1-i for 1 <= i <= p-1.  A mismatch
+    raises CertificateFailed; p beyond ``check_cyclotomic_budget`` raises
+    BudgetExceeded before any arithmetic.
     """
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
+    check_cyclotomic_budget(p)
     lam = CyclotomicNumber.lam(p)
     if symbolic:
         ring = CycloRing(p)
@@ -245,9 +255,10 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
         direct = zmap**p - RPoly(outer, [s_poly**p])
         inv = RPoly.const(ring, ring.one() / lam**p)
         direct = RPoly(outer, [c * inv for c in direct.coeffs])
-        assert list(direct.coeffs) == [c for c in coeffs[: direct.degree + 1]] and (
-            direct.degree == p
-        ), "closed form disagrees with the direct expansion"
+        _certify(
+            list(direct.coeffs) == coeffs[: direct.degree + 1] and direct.degree == p,
+            "closed form disagrees with the direct expansion",
+        )
         lift = LiftPoly(p, "symbolic", None, ring, tuple(coeffs))
     else:
         if a is None:
@@ -265,8 +276,9 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
         zpoly = RPoly(ring, [s, ring.scalar(lam)])  # lambda z + s
         direct = zpoly**p - RPoly(ring, [s**p])
         direct = direct * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p)
-        assert list(direct.coeffs) == _trim_ring(coeffs, ring), (
-            "closed form disagrees with the direct expansion"
+        _certify(
+            list(direct.coeffs) == _trim_ring(coeffs, ring),
+            "closed form disagrees with the direct expansion",
         )
         lift = LiftPoly(p, "specialized", a, ring, tuple(coeffs))
     vals = lift.coefficient_valuations()
@@ -276,10 +288,11 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
     for j in range(1, p):  # z^j = z^(p-i) with i = p-j in 1..p-1
         i = p - j
         expected = (p - 1 - i) + i * v_s
-        assert vals[j - 1] == expected, (
-            f"valuation of z^{j} coefficient is {vals[j-1]}, expected {expected}"
+        _certify(
+            vals[j - 1] == expected,
+            f"valuation of z^{j} coefficient is {vals[j-1]}, expected {expected}",
         )
-    assert vals[p - 1] == 0  # leading coefficient 1
+    _certify(vals[p - 1] == 0, "the leading coefficient is not a unit")
     return lift
 
 
@@ -303,13 +316,13 @@ def reduce_lift(L: LiftPoly, sbar: FieldElement) -> FqPoly:
     try:
         reduced = [ring.residue_s(c, sbar) for c in L.coeffs]
     except NegativeValuation as exc:  # pragma: no cover - internal consistency
-        raise AssertionError(f"negative valuation during reduction: {exc}")
+        _certify(False, f"negative valuation during reduction: {exc}")
     out = FqPoly(K, reduced)
     c = sbar ** (L.p - 1)
     expected = FqPoly(
         K, [K.zero(), -c] + [K.zero()] * (L.p - 2) + [K.one()]
     )
-    assert out == expected, "reduction is not z^p - c z"
+    _certify(out == expected, "reduction is not z^p - c z")
     return out
 
 
@@ -357,13 +370,16 @@ def lift_critical_data(L: LiftPoly) -> LiftCriticalData:
     deriv = RPoly(ring, [L.coeffs[j] * j for j in range(1, p + 1)])
     unit = ring.scalar(CyclotomicNumber.from_rational(p, p) / lam ** (p - 1))
     rhs = RPoly(ring, [s, ring.scalar(lam)]) ** (p - 1) * unit
-    assert deriv == rhs, "derivative formula failed"
+    _certify(deriv == rhs, "derivative formula failed")
     # critical value and the p-th power fiber identity
     value = L.evaluate(crit_pt)
-    assert value == -(s**p) * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p)
+    _certify(
+        value == -(s**p) * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p),
+        "critical value is not -s^p/lambda^p",
+    )
     fiber = RPoly(ring, list(L.coeffs)) - RPoly(ring, [value])
     pth = RPoly(ring, [s * lam_inv, ring.one()])  # z + s/lambda
-    assert fiber == pth**p, "fiber over the critical value is not a p-th power"
+    _certify(fiber == pth**p, "fiber over the critical value is not a p-th power")
     return LiftCriticalData(
         critical_points=((None, p), (crit_pt, p)),
         critical_value=value,
@@ -431,7 +447,7 @@ def orbit_search(L: LiftPoly, max_steps: int, verify_steps: int = 3) -> OrbitCer
             points.append(cur)
             nv = cur.gauss_val()
             vals.append(nv)
-            assert nv == L.p * v, f"escape recurrence violated: v {v} -> {nv}"
+            _certify(nv == L.p * v, f"escape recurrence violated: v {v} -> {nv}")
             v = nv
         return OrbitCertificate(
             verdict="escape",
@@ -573,6 +589,7 @@ def scaling_check(p: int) -> bool:
     """
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
+    check_cyclotomic_budget(p)
     lam = CyclotomicNumber.lam(p)
     gring = _GammaCoeffRing(p)
     gamma = gring.sring.s()  # the free (p-1)-st root of unity
@@ -597,14 +614,14 @@ def scaling_check(p: int) -> bool:
             [base.coeff(t) * gamma**t for t in range(base.degree + 1)],
         )
         ok = ok and lhs == rhs
-        assert lhs == rhs, f"scaling identity failed at z^{j}"
+        _certify(lhs == rhs, f"scaling identity failed at z^{j}")
     # multiplier at the fixed point 0: the z-coefficient
     mult = lift_coeff(p - 1)
     expected_unit = gring.sring.scalar(
         CyclotomicNumber.from_rational(p, p) / lam ** (p - 1)
     )
     expected = RPoly(gring, [gring.zero()] * (p - 1) + [expected_unit])
-    assert mult == expected
+    _certify(mult == expected, "multiplier at 0 is not (p/lambda^(p-1)) s^(p-1)")
     return ok
 
 
@@ -613,7 +630,7 @@ def multiplier_at_zero(L: LiftPoly) -> CyclotomicNumber:
     if L.mode != "specialized":
         raise BadParameter("specialized lifts only")
     c1 = L.coeffs[1]
-    assert all(c.is_zero() for c in c1.coeffs[1:]), "multiplier should be scalar"
+    _certify(all(c.is_zero() for c in c1.coeffs[1:]), "multiplier should be scalar")
     return c1.coeffs[0]
 
 

@@ -22,10 +22,10 @@ from .domains import FiniteFieldDomain
 from .dynsys import Pgl2, RationalMap, conjugate
 from .errors import (
     BudgetExceeded,
-    CertificateFailed,
     DegreeMismatch,
     Inseparable,
     NotAdditiveShape,
+    _certify,
 )
 from .ff import (
     GF,
@@ -39,12 +39,6 @@ from .ff import (
     solve_power,
     splitting_degree,
 )
-
-
-def _certify(cond, msg: str) -> None:
-    """Raise CertificateFailed unless cond; unlike assert, kept under -O."""
-    if not cond:
-        raise CertificateFailed(msg)
 
 
 def _parse_additive_with_constant(g) -> tuple[FiniteField, list[FieldElement], FieldElement]:

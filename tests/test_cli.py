@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -304,3 +305,26 @@ def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("internal verification failed") and "Traceback" not in err
+
+
+# argv -> exit code: malformed numbers are input errors (2); a p whose
+# Q(zeta_p) work exceeds the default budget is refused up front (3)
+EXIT_CODE_TABLE = [
+    (["orbit", "--p", "3", "--a", "x"], 2),
+    (["lift", "--p", "3", "--a", "1", "--reduce", "--sbar", "x"], 2),
+    (["identities", "--p", "100003"], 3),
+    (["lift", "--p", "1009", "--a", "1"], 3),
+    (["orbit", "--p", "101", "--a", "1"], 3),
+]
+
+
+@pytest.mark.parametrize("argv,code", EXIT_CODE_TABLE, ids=[" ".join(a) for a, _ in EXIT_CODE_TABLE])
+def test_exit_code_table(capsys, monkeypatch, argv, code):
+    monkeypatch.delenv("WILDRAM_BUDGET", raising=False)
+    t0 = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert "(p-1)^4" in err and "65536" in err and "WILDRAM_BUDGET" in err

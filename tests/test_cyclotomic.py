@@ -1,8 +1,12 @@
+import json
 import random
+import time
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wildram.cyclotomic import (
     CyclotomicNumber,
@@ -13,6 +17,103 @@ from wildram.cyclotomic import (
 )
 from wildram.errors import BadDenominator, BadResidueChoice, NotPrime, ZeroDivisor
 from wildram.ff import GF
+from wildram.gmlift import build_lift, orbit_search
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+class FractionCyclotomic:
+    """Oracle: Q(zeta_p) on Fraction coordinates, multiplied term by term."""
+
+    def __init__(self, p, coords):
+        self.p = p
+        self.coords = tuple(Fraction(c) for c in coords)
+        assert len(self.coords) == p - 1
+
+    @classmethod
+    def from_powers(cls, p, powers):
+        # reduce zeta^p = 1 and zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+        coords = [Fraction(0)] * (p - 1)
+        for e, c in powers.items():
+            e %= p
+            if e < p - 1:
+                coords[e] += c
+            else:
+                for j in range(p - 1):
+                    coords[j] -= c
+        return cls(p, coords)
+
+    def _other(self, other):
+        if isinstance(other, FractionCyclotomic):
+            return other
+        return FractionCyclotomic(self.p, [other] + [0] * (self.p - 2))
+
+    def __add__(self, other):
+        o = self._other(other)
+        return FractionCyclotomic(self.p, [a + b for a, b in zip(self.coords, o.coords)])
+
+    def __sub__(self, other):
+        return self + (-self._other(other))
+
+    def __neg__(self):
+        return FractionCyclotomic(self.p, [-a for a in self.coords])
+
+    def __mul__(self, other):
+        o = self._other(other)
+        prod = {}
+        for i, a in enumerate(self.coords):
+            for j, b in enumerate(o.coords):
+                prod[i + j] = prod.get(i + j, Fraction(0)) + a * b
+        return FractionCyclotomic.from_powers(self.p, prod)
+
+    def __truediv__(self, other):
+        return self * self._other(other).inverse()
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = self._other(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def conjugate(self, j):
+        return FractionCyclotomic.from_powers(
+            self.p, {i * j: c for i, c in enumerate(self.coords)}
+        )
+
+    def norm(self):
+        out = self._other(1)
+        for j in range(1, self.p):
+            out = out * self.conjugate(j)
+        assert not any(out.coords[1:])
+        return out.coords[0]
+
+    def inverse(self):
+        others = self._other(1)
+        for j in range(2, self.p):
+            others = others * self.conjugate(j)
+        return others * self._other(1 / (self * others).coords[0])
+
+    def to_json(self):
+        return {"p": self.p, "coords": [[c.numerator, c.denominator] for c in self.coords]}
+
+
+def mixed_coords(p, rng):
+    """Coordinates whose denominators are divisible by p and by other primes."""
+    dens = (1, p, p * p, 6, 7 * p, 10 * p)
+    return [Fraction(rng.randrange(-30, 31), rng.choice(dens)) for _ in range(p - 1)]
+
+
+def vp(q, p):
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def random_cyclo(p, rng, ints=False):
@@ -190,3 +291,95 @@ def test_s_ring_p2():
 def test_json_roundtrip():
     x = CyclotomicNumber(5, [Fraction(1, 2), 3, 0, Fraction(-7, 3)])
     assert CyclotomicNumber.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernel_matches_fraction_oracle(p):
+    rng = random.Random(1000 + p)
+    for _ in range(6):
+        cx, cy = mixed_coords(p, rng), mixed_coords(p, rng)
+        x, y = CyclotomicNumber(p, cx), CyclotomicNumber(p, cy)
+        ox, oy = FractionCyclotomic(p, cx), FractionCyclotomic(p, cy)
+        q = Fraction(rng.randrange(1, 9), p * rng.randrange(1, 4))
+        pairs = [
+            (x + y, ox + oy),
+            (x - y, ox - oy),
+            (-x, -ox),
+            (x * y, ox * oy),
+            (x * q, ox * q),
+            (x + q, ox + q),
+            (x**3, ox**3),
+            (x**0, ox**0),
+        ]
+        pairs += [(x.conjugate(j), ox.conjugate(j)) for j in range(1, p)]
+        with pytest.raises(ValueError):
+            x.conjugate(p)  # zeta -> 1 is not an automorphism
+        if not y.is_zero():
+            pairs += [(x / y, ox / oy), (y.inverse(), oy.inverse()), (y**-2, oy**-2)]
+            assert y.norm() == oy.norm()
+        for got, want in pairs:
+            assert got.coords == want.coords
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            assert got.den > 0 and gcd(got.den, *got.num) == 1
+
+
+@st.composite
+def valued_elements(draw):
+    """(p, coords, k): an element of Q(zeta_p) times lambda^k."""
+    p = draw(st.sampled_from(PRIMES))
+    coord = st.builds(
+        lambda n, e, d: Fraction(n * p**e, d),
+        st.integers(-50, 50),
+        st.integers(0, 3),
+        st.sampled_from((1, 2, 3, p, p * p, 6 * p)),
+    )
+    coords = draw(st.lists(coord, min_size=p - 1, max_size=p - 1))
+    return p, coords, draw(st.integers(-2 * (p - 1), 3 * (p - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valued_elements())
+def test_lambda_val_is_vp_of_the_norm(case):
+    p, coords, k = case
+    x = CyclotomicNumber(p, coords) * CyclotomicNumber.lam(p) ** k
+    assume(not x.is_zero())
+    assert lambda_val(x) == vp(x.norm(), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_equal_values_hash_equal_whatever_the_route(p):
+    rng = random.Random(2000 + p)
+    cs = mixed_coords(p, rng)
+    while not any(cs):
+        cs = mixed_coords(p, rng)
+    x = CyclotomicNumber(p, cs)
+    y = CyclotomicNumber(p, mixed_coords(p, rng)) + CyclotomicNumber.zeta(p)
+    common = 6 * p * p * 210
+    routes = [
+        CyclotomicNumber(p, [Fraction(c * common) / common for c in cs]),
+        CyclotomicNumber(p, [c.numerator if c.denominator == 1 else c for c in cs]),
+        CyclotomicNumber.from_json(
+            {"p": p, "coords": [[c.numerator * 6, c.denominator * 6] for c in cs]}
+        ),
+        CyclotomicNumber.from_json(json.loads(json.dumps(x.to_json()))),
+        (x * 6 + x) / 7,
+        (x + y) - y,
+        x * y / y,
+        x.conjugate(p - 1).conjugate(p - 1) if p > 2 else x,
+    ]
+    seen = {x: "x"}
+    for z in routes:
+        assert z == x and hash(z) == hash(x)
+        assert seen[z] == "x"
+    assert x * 0 == 0 and hash(x * 0) == hash(CyclotomicNumber.from_rational(p, 0))
+    r = CyclotomicNumber.from_rational(p, Fraction(3, 2 * p))
+    assert r == Fraction(3, 2 * p) and r * (2 * p) == 3
+
+
+def test_orbit_search_p11_is_fast():
+    t0 = time.perf_counter()
+    cert = orbit_search(build_lift(11, a=1), 6)
+    assert time.perf_counter() - t0 < 1.0
+    # the answer the Fraction implementation gave (in about 6.5 s)
+    assert cert.verdict == "escape" and cert.threshold_index == 0
+    assert cert.valuations == (-11, -121, -1331, -14641)

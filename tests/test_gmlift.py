@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +250,32 @@ def test_reduction_feeds_the_dynamics_layer():
     scheme = post_critical_orbit(f, 16)
     assert len(scheme.vertices) == 1 and scheme.vertices[0].is_infinity
     assert scheme.edges == ((0, 0, 3),)
+
+
+def test_corrupted_closed_form_fails_under_python_O():
+    # a wrong binomial in the closed form must still be caught with asserts off
+    child = textwrap.dedent(
+        """
+        import sys
+        from math import comb
+        from wildram import gmlift
+        from wildram.errors import CertificateFailed
+
+        assert False, "asserts are on"
+        gmlift.comb = lambda n, k: comb(n, k) + (k == 1)
+        try:
+            gmlift.build_lift(3, a=1)
+        except CertificateFailed as exc:
+            print("CertificateFailed:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "closed form disagrees with the direct expansion" in proc.stdout
