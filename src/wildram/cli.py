@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 mathematical negative (e.g. maps not conjugate,
 odometer check failed), 2 input/usage error (including a malformed map
 file), 3 enumeration budget exceeded, 4 internal verification failed (a
 computed result failed its certificate check: a bug, not bad input).
-All output is deterministic for fixed flags and seed; --json emits
+All output is deterministic for fixed flags; --json emits
 machine-readable reports that validate against the schemas shipped in
 wildram/schemas/.
 """
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled work")
         p.add_argument("--jobs", type=int, default=1, help="worker processes (orbit only)")
 
     c = sub.add_parser("census", help="conjugacy census of monic additive maps")

@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb, gcd, inf, lcm
 from operator import add, mul, sub
 
+from . import _poly
 from .errors import (
     BadDenominator,
     BadResidueChoice,
@@ -194,7 +195,7 @@ class CyclotomicNumber:
         return self.den == 1
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -510,84 +511,27 @@ class SRing:
         coeffs[1] = CyclotomicNumber.from_rational(self.p, 1)
         return SRingElement(self, coeffs)
 
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        return x / y
-
     def invert(self, x: SRingElement) -> SRingElement:
         """Inverse via extended Euclid against s^(p-1) - a; ZeroDivisor if stuck."""
         if x.is_zero():
             raise ZeroDivisor("inversion of zero", factor=self.modulus_coeffs())
         n = self.p - 1
-        # polynomials over Q(zeta_p) as coefficient lists, constant first
-        r0 = [-self.a_cyclo] + [CyclotomicNumber.from_rational(self.p, 0)] * (n - 1) + [
-            CyclotomicNumber.from_rational(self.p, 1)
-        ]
-        r1 = list(x.coeffs)
-        t0: list[CyclotomicNumber] = []
-        t1 = [CyclotomicNumber.from_rational(self.p, 1)]
-        zero = CyclotomicNumber.from_rational(self.p, 0)
-
-        def trim(c):
-            c = list(c)
-            while c and c[-1].is_zero():
-                c.pop()
-            return c
-
-        def sub(u, v):
-            m = max(len(u), len(v))
-            return trim(
-                [
-                    (u[i] if i < len(u) else zero) - (v[i] if i < len(v) else zero)
-                    for i in range(m)
-                ]
-            )
-
-        def mulp(u, v):
-            if not u or not v:
-                return []
-            out = [zero] * (len(u) + len(v) - 1)
-            for i, ui in enumerate(u):
-                if not ui.is_zero():
-                    for j, vj in enumerate(v):
-                        out[i + j] = out[i + j] + ui * vj
-            return trim(out)
-
-        def divmodp(u, v):
-            u = list(u)
-            inv = v[-1].inverse()
-            q = [zero] * max(len(u) - len(v) + 1, 0)
-            while len(u) >= len(v) and u:
-                if u[-1].is_zero():
-                    u.pop()
-                    continue
-                shift = len(u) - len(v)
-                c = u[-1] * inv
-                q[shift] = c
-                for j in range(len(v)):
-                    u[shift + j] = u[shift + j] - c * v[j]
-                u.pop()
-            return trim(q), trim(u)
-
-        r0, r1 = trim(r0), trim(r1)
+        inv = CyclotomicNumber.inverse
+        # polynomials in s over Q(zeta_p): t_i x = r_i modulo s^(p-1) - a
+        r0, r1 = list(self.modulus_coeffs()), _poly.trim(x.coeffs)
+        t0, t1 = [], [CyclotomicNumber.from_rational(self.p, 1)]
         while r1:
-            q, r = divmodp(r0, r1)
-            t2 = sub(t0, mulp(q, t1))
+            q, r = _poly.divmod(r0, r1, inv)
+            t0, t1 = t1, _poly.sub(t0, _poly.mul(q, t1))
             r0, r1 = r1, r
-            t0, t1 = t1, t2
         if len(r0) != 1:
             raise ZeroDivisor(
                 "relation s^(p-1) - a is reducible; hit a zero divisor",
                 factor=tuple(r0),
             )
-        c = r0[0].inverse()
-        inv_coeffs = [t * c for t in t0] + [zero] * (n - len(t0))
-        return SRingElement(self, inv_coeffs[:n])
+        t0 = _poly.scale(t0, r0[0].inverse())
+        zero = CyclotomicNumber.from_rational(self.p, 0)
+        return SRingElement(self, t0 + [zero] * (n - len(t0)))
 
     def modulus_coeffs(self):
         n = self.p - 1

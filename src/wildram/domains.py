@@ -12,24 +12,13 @@ and fail loudly otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
+from . import _poly
 from . import ff as _ff
 from .cyclotomic import CyclotomicNumber
 from .errors import UnsupportedExtension, ZeroPolynomial
 from .ff import GF, FiniteField, FqPoly, embed
-
-
-def _trim(coeffs):
-    cs = list(coeffs)
-    while cs and _is_zero_like(cs[-1]):
-        cs.pop()
-    return cs
-
-
-def _is_zero_like(x):
-    if isinstance(x, (Fraction, int)):
-        return x == 0
-    return x.is_zero()
 
 
 class FiniteFieldDomain:
@@ -86,7 +75,7 @@ class FiniteFieldDomain:
 
         Returns (new_domain, transfer, [(root, mult)]).
         """
-        f = FqPoly(self.field, _trim(coeffs))
+        f = FqPoly(self.field, coeffs)
         if f.is_zero():
             raise ZeroPolynomial("roots of zero")
         d = _ff.splitting_degree(f)
@@ -104,69 +93,27 @@ class FiniteFieldDomain:
 
 def _char0_squarefree(coeffs, domain) -> list[tuple[list, int]]:
     """Yun-style squarefree decomposition in characteristic zero."""
-    f = _trim(coeffs)
-    one = domain.one()
-
-    def deriv(c):
-        return _trim([c[i] * i for i in range(1, len(c))])
-
-    def divmod_(a, b):
-        a = list(a)
-        inv = domain.inv(b[-1])
-        q = [domain.zero()] * max(len(a) - len(b) + 1, 0)
-        while len(a) >= len(b) and a:
-            if _is_zero_like(a[-1]):
-                a.pop()
-                continue
-            shift = len(a) - len(b)
-            c = a[-1] * inv
-            q[shift] = c
-            for j in range(len(b)):
-                a[shift + j] = a[shift + j] - c * b[j]
-            a.pop()
-        return _trim(q), _trim(a)
-
-    def gcd(a, b):
-        a, b = _trim(list(a)), _trim(list(b))
-        while b:
-            a, b = b, divmod_(a, b)[1]
-        if a:
-            inv = domain.inv(a[-1])
-            a = [c * inv for c in a]
-        return a
-
-    # monic
-    inv = domain.inv(f[-1])
-    f = [c * inv for c in f]
+    inv = domain.inv
+    f = _poly.trim(coeffs)
+    f = _poly.scale(f, inv(f[-1]))
     out = []
-    g = gcd(f, deriv(f))
-    w = divmod_(f, g)[0]
+    g = _poly.gcd(f, _poly.deriv(f), inv)
+    w = _poly.divmod(f, g, inv)[0]
     i = 1
     while len(w) > 1:
-        y = gcd(w, g)
-        fac = divmod_(w, y)[0]
+        y = _poly.gcd(w, g, inv)
+        fac = _poly.divmod(w, y, inv)[0]
         if len(fac) > 1:
             out.append((fac, i))
         w = y
-        g = divmod_(g, y)[0]
+        g = _poly.divmod(g, y, inv)[0]
         i += 1
     return out
 
 
-def _synthetic_div(work: list[Fraction], r: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Divide by (z - r): returns (quotient, remainder); constant-first lists."""
-    n = len(work)
-    quot = [Fraction(0)] * (n - 1)
-    acc = work[-1]
-    for i in range(n - 2, -1, -1):
-        quot[i] = acc
-        acc = work[i] + acc * r
-    return quot, acc
-
-
 def _rational_roots(coeffs) -> tuple[list[tuple[Fraction, int]], list]:
     """Rational roots with multiplicity, plus the unsplit cofactor."""
-    f = _trim([Fraction(c) for c in coeffs])
+    f = _poly.trim([Fraction(c) for c in coeffs])
     roots: list[tuple[Fraction, int]] = []
     zmult = 0
     while f and f[0] == 0:
@@ -177,13 +124,9 @@ def _rational_roots(coeffs) -> tuple[list[tuple[Fraction, int]], list]:
     if len(f) <= 1:
         return roots, f
     # primitive integer model for the root candidates
-    den = 1
-    for c in f:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = lcm(*(c.denominator for c in f))
     ints = [int(c * den) for c in f]
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, c)
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     cands = set()
     for pnum in _divisors(abs(ints[0])):
@@ -194,21 +137,14 @@ def _rational_roots(coeffs) -> tuple[list[tuple[Fraction, int]], list]:
     for r in sorted(cands):
         mult = 0
         while len(work) > 1:
-            quot, rem = _synthetic_div(work, r)
-            if rem != 0:
+            quot, rem = _poly.divmod(work, [-r, Fraction(1)], RationalDomain.inv)
+            if rem:
                 break
             work = quot
             mult += 1
         if mult:
             roots.append((r, mult))
     return roots, work
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -251,7 +187,8 @@ class RationalDomain:
     def from_int(self, n):
         return Fraction(n)
 
-    def inv(self, x):
+    @staticmethod
+    def inv(x):
         return Fraction(1) / x
 
     def sort_key(self, x):

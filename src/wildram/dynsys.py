@@ -10,8 +10,8 @@ fields, Q, and Q(zeta_p).
 
 from __future__ import annotations
 
-from .domains import _is_zero_like, _trim
-from .errors import DegenerateMap, DegreeMismatch, NotFixed
+from . import _poly
+from .errors import DegenerateMap, DegreeMismatch, NotFixed, _certify
 
 # ---------------------------------------------------------------------------
 # Points
@@ -58,99 +58,6 @@ def point_sort_key(domain, pt: ProjPoint):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over a domain (coefficient lists, constant first)
-# ---------------------------------------------------------------------------
-
-def _padd(a, b, domain):
-    n = max(len(a), len(b))
-    z = domain.zero()
-    return _trim([(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)])
-
-
-def _psub(a, b, domain):
-    n = max(len(a), len(b))
-    z = domain.zero()
-    return _trim([(a[i] if i < len(a) else z) - (b[i] if i < len(b) else z) for i in range(n)])
-
-
-def _pmul(a, b, domain):
-    if not a or not b:
-        return []
-    out = [domain.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not _is_zero_like(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _trim(out)
-
-
-def _pscale(a, c):
-    return _trim([x * c for x in a])
-
-
-def _pdivmod(a, b, domain):
-    a = list(a)
-    inv = domain.inv(b[-1])
-    q = [domain.zero()] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        if _is_zero_like(a[-1]):
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] * inv
-        q[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = a[shift + j] - c * b[j]
-        a.pop()
-    return _trim(q), _trim(a)
-
-
-def _pgcd(a, b, domain):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pdivmod(a, b, domain)[1]
-    if a:
-        a = _pscale(a, domain.inv(a[-1]))
-    return a
-
-
-def _pderiv(a, domain):
-    return _trim([a[i] * domain.from_int(i) for i in range(1, len(a))])
-
-
-def _peval(a, x, domain):
-    acc = domain.zero()
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _ppow_list(a, e, domain):
-    out = [domain.one()]
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _pmul(out, base, domain)
-        base = _pmul(base, base, domain)
-        e >>= 1
-    return out
-
-
-def _root_multiplicity(a, r, domain) -> int:
-    """Multiplicity of the root r in the polynomial a."""
-    mult = 0
-    work = list(a)
-    lin = [-r, domain.one()]
-    while len(work) > 1:
-        q, rem = _pdivmod(work, lin, domain)
-        if rem:
-            break
-        work = q
-        mult += 1
-    return mult
-
-
-# ---------------------------------------------------------------------------
 # Rational maps
 # ---------------------------------------------------------------------------
 
@@ -162,19 +69,19 @@ class RationalMap:
     def __init__(self, domain, num, den=None):
         if den is None:
             den = [domain.one()]
-        num = _trim(list(num))
-        den = _trim(list(den))
+        num = _poly.trim(num)
+        den = _poly.trim(den)
         if not den:
             raise DegenerateMap("zero denominator")
         if not num and len(den) == 1:
             raise DegenerateMap("the zero map is not allowed")
-        g = _pgcd(num, den, domain) if num else den
+        g = _poly.gcd(num, den, domain.inv) if num else den
         if len(g) > 1:
-            num = _pdivmod(num, g, domain)[0]
-            den = _pdivmod(den, g, domain)[0]
+            num = _poly.divmod(num, g, domain.inv)[0]
+            den = _poly.divmod(den, g, domain.inv)[0]
         inv = domain.inv(den[-1])
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
+        num = _poly.scale(num, inv)
+        den = _poly.scale(den, inv)
         if max(len(num), len(den)) - 1 < 1:
             raise DegenerateMap("constant map")
         object.__setattr__(self, "domain", domain)
@@ -212,13 +119,11 @@ class RationalMap:
 
     def derivative_pair(self):
         """(N'D - ND', D^2): numerator and denominator of f'."""
-        d = self.domain
-        w = _psub(
-            _pmul(_pderiv(list(self.num), d), list(self.den), d),
-            _pmul(list(self.num), _pderiv(list(self.den), d), d),
-            d,
+        num, den = self.num, self.den
+        w = _poly.sub(
+            _poly.mul(_poly.deriv(num), den), _poly.mul(num, _poly.deriv(den))
         )
-        return w, _pmul(list(self.den), list(self.den), d)
+        return w, _poly.mul(den, den)
 
     def has_zero_derivative(self) -> bool:
         return not self.derivative_pair()[0]
@@ -232,9 +137,9 @@ class RationalMap:
             if dn < dd:
                 return ProjPoint.finite(d.zero())
             return ProjPoint.finite(self.num[-1] * d.inv(self.den[-1]))
-        nv = _peval(list(self.num), pt.value, d)
-        dv = _peval(list(self.den), pt.value, d)
-        if _is_zero_like(dv):
+        nv = _poly.evaluate(self.num, pt.value)
+        dv = _poly.evaluate(self.den, pt.value)
+        if not dv:
             return ProjPoint.infinity()
         return ProjPoint.finite(nv * d.inv(dv))
 
@@ -242,19 +147,18 @@ class RationalMap:
         """self o other."""
         d = self.domain
         deg = self.degree
-        gn, gd = list(other.num), list(other.den)
-        num = []
-        den = []
         gn_pows = [[d.one()]]
         gd_pows = [[d.one()]]
-        for i in range(deg):
-            gn_pows.append(_pmul(gn_pows[-1], gn, d))
-            gd_pows.append(_pmul(gd_pows[-1], gd, d))
+        for _ in range(deg):
+            gn_pows.append(_poly.mul(gn_pows[-1], other.num))
+            gd_pows.append(_poly.mul(gd_pows[-1], other.den))
+        num, den = [], []
         for i in range(deg + 1):
-            term_n = _pscale(_pmul(gn_pows[i], gd_pows[deg - i], d), self.num[i] if i < len(self.num) else d.zero())
-            term_d = _pscale(_pmul(gn_pows[i], gd_pows[deg - i], d), self.den[i] if i < len(self.den) else d.zero())
-            num = _padd(num, term_n, d)
-            den = _padd(den, term_d, d)
+            term = _poly.mul(gn_pows[i], gd_pows[deg - i])
+            if i < len(self.num):
+                num = _poly.add(num, _poly.scale(term, self.num[i]))
+            if i < len(self.den):
+                den = _poly.add(den, _poly.scale(term, self.den[i]))
         return RationalMap(d, num, den)
 
     def iterate(self, n: int) -> "RationalMap":
@@ -287,11 +191,11 @@ class Pgl2:
 
     def __init__(self, domain, a, b, c, d):
         det = a * d - b * c
-        if _is_zero_like(det):
+        if not det:
             raise DegenerateMap("singular matrix")
         scale = None
         for v in (a, b, c, d):
-            if not _is_zero_like(v):
+            if v:
                 scale = domain.inv(v)
                 break
         entries = (a * scale, b * scale, c * scale, d * scale)
@@ -325,11 +229,11 @@ class Pgl2:
         a, b, c, d = self.entries
         dom = self.domain
         if pt.is_infinity:
-            if _is_zero_like(c):
+            if not c:
                 return ProjPoint.infinity()
             return ProjPoint.finite(a * dom.inv(c))
         denv = c * pt.value + d
-        if _is_zero_like(denv):
+        if not denv:
             return ProjPoint.infinity()
         return ProjPoint.finite((a * pt.value + b) * dom.inv(denv))
 
@@ -340,7 +244,7 @@ class Pgl2:
     def affine_parts(self):
         """(gamma, delta) with the map z -> gamma z + delta; lower row must be (0, 1)."""
         a, b, c, d = self.entries
-        if not _is_zero_like(c):
+        if c:
             raise DegenerateMap("not an affine map")
         inv = self.domain.inv(d)
         return a * inv, b * inv
@@ -366,11 +270,10 @@ class Pgl2:
 
 def _fiber_poly(f: RationalMap, Q: ProjPoint):
     """Polynomial whose roots are the finite fiber points, plus e at infinity."""
-    d = f.domain
     if Q.is_infinity:
         g = list(f.den)
     else:
-        g = _psub(list(f.num), _pscale(list(f.den), Q.value), d)
+        g = _poly.sub(f.num, _poly.scale(f.den, Q.value))
     if not g:
         raise DegenerateMap("constant map has no fibers")
     e_inf = f.degree - (len(g) - 1)
@@ -392,8 +295,22 @@ def ram_profile(f: RationalMap, Q: ProjPoint) -> list[int]:
     if e_inf > 0:
         profile.append(e_inf)
     profile.sort()
-    assert sum(profile) == f.degree
+    _certify(sum(profile) == f.degree, f"fiber profile {profile} does not sum to {f.degree}")
     return profile
+
+
+def _root_multiplicity(a, r, domain) -> int:
+    """Multiplicity of the root r in the polynomial a."""
+    mult = 0
+    work = list(a)
+    lin = [-r, domain.one()]
+    while len(work) > 1:
+        q, rem = _poly.divmod(work, lin, domain.inv)
+        if rem:
+            break
+        work = q
+        mult += 1
+    return mult
 
 
 def local_index(f: RationalMap, x: ProjPoint) -> int:
@@ -619,15 +536,15 @@ def multiplier(f: RationalMap, x: ProjPoint):
         flipped = RationalMap(d, den_rev, num_rev)
         return multiplier(flipped, ProjPoint.finite(d.zero()))
     w, den2 = f.derivative_pair()
-    wv = _peval(w, x.value, d)
-    dv = _peval(den2, x.value, d)
+    wv = _poly.evaluate(w, x.value)
+    dv = _poly.evaluate(den2, x.value)
     return wv * d.inv(dv)
 
 
 def fixed_point_data(f: RationalMap):
     """(map over a splitting extension, all fixed points there, incl. oo)."""
     d = f.domain
-    g = _psub(list(f.num), _pmul([d.zero(), d.one()], list(f.den), d), d)
+    g = _poly.sub(f.num, [d.zero(), *f.den])  # N(z) - z D(z)
     pts = []
     fL = f
     if g:

@@ -34,7 +34,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import _linalg
+from . import _linalg, _poly
 from .errors import (
     BadParameter,
     BudgetExceeded,
@@ -45,6 +45,7 @@ from .errors import (
     ReducibleModulus,
     ZeroBase,
     ZeroPolynomial,
+    _certify,
 )
 
 DEFAULT_BUDGET = 1 << 16
@@ -108,6 +109,9 @@ def _stable_seed(*parts) -> int:
 # ---------------------------------------------------------------------------
 # Polynomials over the prime field, as int tuples (constant first).
 # Only used for modulus bookkeeping; everything user-facing is FqPoly.
+# This is the one arithmetic kept apart from the object-generic _poly
+# kernel: Ben-Or in make_field runs it before the field exists, on bare
+# ints, where element objects would only add cost to every first use.
 # ---------------------------------------------------------------------------
 
 def _fp_trim(c: list[int]) -> tuple[int, ...]:
@@ -548,10 +552,10 @@ class FieldElement:
         return FieldElement(F, tuple(int(v) for v in vec))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coords)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -654,54 +658,30 @@ class FqPoly:
     def __add__(self, other):
         if not isinstance(other, FqPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(self.field, [self[i] + other[i] for i in range(n)])
+        return FqPoly(self.field, _poly.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, FqPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(self.field, [self[i] - other[i] for i in range(n)])
+        return FqPoly(self.field, _poly.sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return FqPoly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            return FqPoly(self.field, [c * other for c in self.coeffs])
+            return FqPoly(self.field, _poly.scale(self.coeffs, other))
         if not isinstance(other, FqPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field, [])
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return FqPoly(self.field, out)
+        return FqPoly(self.field, _poly.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: FqPoly):
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        if self.degree < other.degree:
-            return FqPoly(self.field, []), self
-        inv = other.lead().inverse()
-        rem = list(self.coeffs)
-        db = other.degree
-        quo = [self.field.zero()] * (len(rem) - db)
-        for top in range(len(rem) - 1, db - 1, -1):
-            c = rem[top]
-            if c.is_zero():
-                continue
-            c = c * inv
-            quo[top - db] = c
-            for j in range(db + 1):
-                rem[top - db + j] = rem[top - db + j] - c * other.coeffs[j]
-        return FqPoly(self.field, quo), FqPoly(self.field, rem[:db])
+        q, r = _poly.divmod(self.coeffs, other.coeffs, FieldElement.inverse)
+        return FqPoly(self.field, q), FqPoly(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -715,30 +695,18 @@ class FqPoly:
         return self * self.lead().inverse()
 
     def gcd(self, other: FqPoly) -> FqPoly:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return FqPoly(self.field, _poly.gcd(self.coeffs, other.coeffs, FieldElement.inverse))
 
     def derivative(self) -> FqPoly:
-        return FqPoly(
-            self.field,
-            [self.coeffs[i] * i for i in range(1, len(self.coeffs))],
-        )
+        return FqPoly(self.field, _poly.deriv(self.coeffs))
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         if x.field != self.field:
             raise FieldMismatch("evaluate: embed the polynomial first")
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _poly.evaluate(self.coeffs, x)
 
     def compose(self, other: FqPoly) -> FqPoly:
-        acc = FqPoly(self.field, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + FqPoly(self.field, [c])
-        return acc
+        return FqPoly(self.field, _poly.compose(self.coeffs, other.coeffs))
 
     def shift(self, n: int) -> FqPoly:
         """Multiply by z^n."""
@@ -753,15 +721,16 @@ class FqPoly:
         return FqPoly(target, [embed(c, target) for c in self.coeffs])
 
     def pow_mod(self, e: int, modulus: FqPoly) -> FqPoly:
-        result = FqPoly.from_ints(self.field, [1])
-        base = self % modulus
+        mod, inv = modulus.coeffs, FieldElement.inverse
+        result = [self.field.one()]
+        base = _poly.divmod(self.coeffs, mod, inv)[1]
         while e > 0:
             if e & 1:
-                result = (result * base) % modulus
+                result = _poly.divmod(_poly.mul(result, base), mod, inv)[1]
             e >>= 1
             if e:
-                base = (base * base) % modulus
-        return result
+                base = _poly.divmod(_poly.mul(base, base), mod, inv)[1]
+        return FqPoly(self.field, result)
 
     def to_int_lists(self):
         return [list(c.coords) for c in self.coeffs]
@@ -870,7 +839,11 @@ _EMBED_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _roots_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> list[FieldElement]:
-    """All roots in target of an irreducible mu over F_p with deg | target.k."""
+    """All roots in target of an irreducible mu over F_p with deg | target.k.
+
+    They are the Frobenius orbit of any one root, sorted, so the result does
+    not depend on which root _one_root_of_fp_poly finds.
+    """
     a = len(mu) - 1
     beta = _one_root_of_fp_poly(mu, target)
     orbit = [beta]
@@ -878,7 +851,7 @@ def _roots_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> list[FieldEle
     while cur != beta:
         orbit.append(cur)
         cur = cur.frobenius()
-    assert len(orbit) == a
+    _certify(len(orbit) == a, f"a root of {mu} has {len(orbit)} Frobenius conjugates, not {a}")
     return sorted(orbit, key=lambda e: e.sort_key())
 
 
@@ -886,19 +859,19 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
     a = len(mu) - 1
     p = target.p
     if _scan_is_cheaper(target.order, a):
+        coeffs = [target.from_int(c) for c in mu]
         for elem in target.elements():
-            acc = target.zero()
-            for c in reversed(mu):
-                acc = acc * elem + target.from_int(c)
-            if acc.is_zero():
+            if not _poly.evaluate(coeffs, elem):
                 return elem
         raise NoEmbedding(f"no root of {mu} in {target!r}")
     # Otherwise locate the subfield of order p^a, present mu over an
-    # abstract copy of it, split off one root there, and map back.
+    # abstract copy of it, where it splits into distinct linear factors,
+    # split it and map one root back.
     frob = target.frobenius_matrix()
     mat = (_linalg.matpow(frob, a, p) - np.eye(target.k, dtype=np.int64)) % p
     sub_basis = _linalg.nullspace(mat, p)
-    assert sub_basis.shape[0] == a
+    _certify(sub_basis.shape[0] == a,
+             f"the subfield of order {p}^{a} has dimension {sub_basis.shape[0]}")
     gamma = None
     for i in range(sub_basis.shape[0]):
         cand = target.element(tuple(int(v) for v in sub_basis[i]))
@@ -932,40 +905,14 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
             inv = pow(int(row[a]), -1, p)
             minpoly = tuple(int(v) * inv % p for v in row)
             break
-    assert minpoly is not None and len(minpoly) == a + 1
+    _certify(minpoly is not None and len(minpoly) == a + 1,
+             f"no minimal polynomial of degree {a} for the subfield generator")
     ab = FiniteField(p, a, minpoly, _trusted=True)
-    mu_poly = FqPoly.from_ints(ab, mu)
-    root = _cz_one_root(mu_poly, ab)
+    root = _split_linear(FqPoly.from_ints(ab, mu), ab)[0]
     beta = target.zero()
     for c, pw in zip(root.coords, powers):
         beta = beta + pw * c
     return beta
-
-
-def _cz_one_root(f: FqPoly, K: FiniteField) -> FieldElement:
-    """One root in K of f, which must split completely over K; seeded CZ."""
-    rng = random.Random(_stable_seed("cz", f.to_int_lists(), K.key()))
-    cur = f.monic()
-    while cur.degree > 1:
-        r = FqPoly(
-            K, [K.element_from_index(rng.randrange(K.order)) for _ in range(cur.degree)]
-        )
-        if r.is_zero():
-            continue
-        if K.p == 2:
-            # absolute-trace splitting: Tr(r) = r + r^2 + ... + r^(2^(k-1))
-            tr = r % cur
-            term = r % cur
-            for _ in range(K.k - 1):
-                term = (term * term) % cur
-                tr = tr + term
-            g = cur.gcd(tr)
-        else:
-            s = r.pow_mod((K.order - 1) // 2, cur)
-            g = cur.gcd(s - FqPoly.from_ints(K, [1]))
-        if 0 < g.degree < cur.degree:
-            cur = g if g.degree <= cur.degree - g.degree else cur // g
-    return -cur.coeffs[0] / cur.coeffs[1]
 
 
 def embedding_matrix(src: FiniteField, target: FiniteField) -> np.ndarray:
@@ -1232,7 +1179,7 @@ def solve_power(a: FieldElement, n: int) -> tuple[FieldElement, FiniteField]:
             ae = embed(a, K)
             poly = FqPoly(K, [-ae] + [K.zero()] * (n - 1) + [K.one()])
             roots = roots_in(poly, K)
-            assert roots, "criterion promised a root"
+            _certify(bool(roots), f"x^{n} = {a!r} has no root in {K!r} despite the criterion")
             return roots[0][0], K
     raise BudgetExceeded(f"no {n}-th root of {a!r} found within the degree bound")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, inf
 
+from . import _poly
 from .cyclotomic import (
     CyclotomicNumber,
     SRing,
@@ -41,17 +42,14 @@ class RPoly:
     """Dense polynomial (constant term first) over a ring handle.
 
     The ring handle needs zero() and one(); coefficients must support the
-    arithmetic operators and equality.
+    arithmetic operators, equality and a truth value false only for zero.
     """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == ring.zero():
-            cs.pop()
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_poly.trim(coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RPoly is immutable")
@@ -74,6 +72,9 @@ class RPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         return (
             isinstance(other, RPoly)
@@ -84,54 +85,31 @@ class RPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RPoly(
-            self.ring, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        return RPoly(self.ring, _poly.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RPoly(
-            self.ring, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return RPoly(self.ring, _poly.sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return RPoly(self.ring, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, RPoly):
-            return RPoly(self.ring, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return RPoly(self.ring, [])
-        out = [self.ring.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return RPoly(self.ring, out)
+            return RPoly(self.ring, _poly.scale(self.coeffs, other))
+        return RPoly(self.ring, _poly.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        out = RPoly(self.ring, [self.ring.one()])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e == 0:
+            return RPoly(self.ring, [self.ring.one()])
+        return RPoly(self.ring, _poly.pow(self.coeffs, e))
 
     def evaluate(self, x):
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _poly.evaluate(self.coeffs, x)
 
     def compose(self, other: "RPoly") -> "RPoly":
-        acc = RPoly(self.ring, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + RPoly(self.ring, [c])
-        return acc
+        return RPoly(self.ring, _poly.compose(self.coeffs, other.coeffs))
 
     def __repr__(self):
         return f"RPoly(deg {self.degree})"
@@ -201,10 +179,7 @@ class LiftPoly:
         return out
 
     def evaluate(self, x: SRingElement) -> SRingElement:
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _poly.evaluate(self.coeffs, x)
 
     def to_json(self):
         if self.mode == "specialized":
@@ -277,7 +252,7 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
         direct = zpoly**p - RPoly(ring, [s**p])
         direct = direct * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p)
         _certify(
-            list(direct.coeffs) == _trim_ring(coeffs, ring),
+            list(direct.coeffs) == _poly.trim(coeffs),
             "closed form disagrees with the direct expansion",
         )
         lift = LiftPoly(p, "specialized", a, ring, tuple(coeffs))
@@ -294,13 +269,6 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
         )
     _certify(vals[p - 1] == 0, "the leading coefficient is not a unit")
     return lift
-
-
-def _trim_ring(coeffs, ring):
-    cs = list(coeffs)
-    while cs and cs[-1] == ring.zero():
-        cs.pop()
-    return cs
 
 
 def reduce_lift(L: LiftPoly, sbar: FieldElement) -> FqPoly:
@@ -567,20 +535,6 @@ def pcf_locus_poly(p: int, m_idx: int, n_idx: int,
 # The scaling conjugacy
 # ---------------------------------------------------------------------------
 
-class _GammaCoeffRing:
-    """Coefficients for bivariate (gamma, s) work: Q(zeta_p)[gamma]/(gamma^(p-1)-1)."""
-
-    def __init__(self, p: int):
-        self.sring = SRing(p, 1)
-        self.p = p
-
-    def zero(self):
-        return self.sring.zero()
-
-    def one(self):
-        return self.sring.one()
-
-
 def scaling_check(p: int) -> bool:
     """Verify gamma * f_s(z/gamma) = f_(gamma s)(z) with gamma^(p-1) = 1, exactly.
 
@@ -591,12 +545,12 @@ def scaling_check(p: int) -> bool:
         raise BadParameter(f"{p} is not prime")
     check_cyclotomic_budget(p)
     lam = CyclotomicNumber.lam(p)
-    gring = _GammaCoeffRing(p)
-    gamma = gring.sring.s()  # the free (p-1)-st root of unity
+    gring = SRing(p, 1)  # Q(zeta_p)[gamma]/(gamma^(p-1) - 1)
+    gamma = gring.s()  # the free (p-1)-st root of unity
     # z-coefficients of the lift as polynomials in s over the gamma-ring:
     # coefficient of z^(p-i) is binom(p,i)/lambda^i * s^i
     def lift_coeff(i: int) -> RPoly:
-        unit = gring.sring.scalar(
+        unit = gring.scalar(
             CyclotomicNumber.from_rational(p, comb(p, i)) / lam**i
         )
         return RPoly(gring, [gring.zero()] * i + [unit])
@@ -617,7 +571,7 @@ def scaling_check(p: int) -> bool:
         _certify(lhs == rhs, f"scaling identity failed at z^{j}")
     # multiplier at the fixed point 0: the z-coefficient
     mult = lift_coeff(p - 1)
-    expected_unit = gring.sring.scalar(
+    expected_unit = gring.scalar(
         CyclotomicNumber.from_rational(p, p) / lam ** (p - 1)
     )
     expected = RPoly(gring, [gring.zero()] * (p - 1) + [expected_unit])

@@ -5,15 +5,50 @@ import pytest
 from wildram.addpoly import (
     AdditivePoly,
     add_compose,
-    add_sum,
-    is_additive_function,
     is_separable,
     iterate,
     recognize_additive,
     root_space,
 )
-from wildram.errors import BadParameter, BudgetExceeded, Inseparable
+from wildram.errors import BadParameter, BudgetExceeded, FieldMismatch, Inseparable
 from wildram.ff import GF, FqPoly, splitting_degree
+
+
+def is_additive_function(f: FqPoly, trials: int = 8) -> bool:
+    """Audit-only semantic test: f(x+y) = f(x)+f(y) over a witnessing extension.
+
+    A degree-d polynomial identity over a field with more than d elements is
+    decided by sampling; we use a deterministic grid in an extension of size
+    greater than deg(f)^2.
+    """
+    K = f.field
+    j = 1
+    while K.order ** j <= max(f.degree, 1) ** 2 + 1:
+        j += 1
+    E = GF(K.p, K.k * j)
+    fe = f.map_into(E)
+    count = 0
+    for n in range(E.order):
+        x = E.element_from_index(n)
+        y = E.element_from_index((n * 2 + 1) % E.order)
+        if fe.evaluate(x + y) != fe.evaluate(x) + fe.evaluate(y):
+            return False
+        count += 1
+        if count >= trials:
+            break
+    return not f.is_zero() and f[0].is_zero()
+
+
+def add_sum(f: AdditivePoly, g: AdditivePoly) -> AdditivePoly:
+    if f.field != g.field:
+        raise FieldMismatch("sum needs a common base field")
+    F = f.field
+    n = max(len(f.coeffs), len(g.coeffs))
+
+    def at(h, i):
+        return h.coeffs[i] if i < len(h.coeffs) else F.zero()
+
+    return AdditivePoly(F, [at(f, i) + at(g, i) for i in range(n)])
 
 
 def random_separable(F, m, rng):

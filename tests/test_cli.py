@@ -315,6 +315,7 @@ EXIT_CODE_TABLE = [
     (["identities", "--p", "100003"], 3),
     (["lift", "--p", "1009", "--a", "1"], 3),
     (["orbit", "--p", "101", "--a", "1"], 3),
+    (["census", "--p", "2", "--m", "1", "--q", "2", "--seed", "1"], 2),
 ]
 
 
