@@ -18,7 +18,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import _linalg
-from .errors import BadParameter, BudgetExceeded, FieldMismatch, Inseparable
+from .errors import (BadParameter, BudgetExceeded, CertificateFailed, FieldMismatch,
+                     Inseparable, _certify)
 from .ff import (
     GF,
     FieldElement,
@@ -151,7 +152,7 @@ class AdditivePoly:
                 v %= p
             if np.array_equal(v, z):
                 return e
-        raise AssertionError(f"z^(q^e) != z modulo L for every e < {p}^{M}")
+        raise CertificateFailed(f"z^(q^e) != z modulo L for every e < {p}^{M}")
 
 
 def recognize_additive(f: FqPoly) -> AdditivePoly | None:
@@ -205,7 +206,7 @@ def iterate(f: AdditivePoly, n: int) -> AdditivePoly:
     out = f
     for _ in range(n - 1):
         out = add_compose(out, f)
-    assert out.coeffs[0] == f.coeffs[0] ** n
+    _certify(out.coeffs[0] == f.coeffs[0] ** n, "z-coefficient of the iterate is not a_0^n")
     return out
 
 
@@ -218,18 +219,19 @@ class RootSpace:
     """The F_p-vector space Z_n of roots of f^n, in its splitting field.
 
     ``basis`` is the canonical rref basis of the coordinate vectors of the
-    roots; ``all_roots`` enumerates all p^(mn) of them.
+    roots, certified by ``root_space`` as m*n roots of f^n (independent rref
+    rows, so they span all p^(mn) roots of the separable f^n);
+    ``all_roots`` enumerates that span, sorted, on first access.
     """
 
-    __slots__ = ("poly", "level", "field", "basis", "all_roots", "min_splitting_degree")
+    __slots__ = ("poly", "level", "field", "basis", "_roots")
 
-    def __init__(self, poly, level, field, basis, all_roots, min_splitting_degree):
+    def __init__(self, poly, level, field, basis):
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "all_roots", all_roots)
-        object.__setattr__(self, "min_splitting_degree", min_splitting_degree)
+        object.__setattr__(self, "_roots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSpace is immutable")
@@ -238,8 +240,22 @@ class RootSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @property
+    def all_roots(self) -> tuple:
+        if self._roots is None:
+            K = self.field
+            basis = np.array([b.coords for b in self.basis], dtype=np.int64).reshape(-1, K.k)
+            coords = sorted(tuple(int(v) for v in row) for row in _span(basis, K.p))
+            object.__setattr__(self, "_roots", tuple(K.element(c) for c in coords))
+        return self._roots
+
+    @property
+    def min_splitting_degree(self) -> int:
+        """Degree over F_p of the least field holding F and every root."""
+        return reduce(math.lcm, [b.degree_over_prime() for b in self.basis], self.poly.field.k)
+
     def __len__(self):
-        return len(self.all_roots)
+        return self.field.p ** self.dimension
 
     def __repr__(self):
         return (
@@ -256,37 +272,19 @@ def _root_space_cached(f: AdditivePoly, n: int, budget: int, ambient) -> RootSpa
     if count > budget:
         raise BudgetExceeded(f"|Z_{n}| = {count} exceeds the budget {budget}")
     fn = iterate(f, n)
-    if ambient is None:
-        K = GF(p, F.k * fn.splitting_degree(budget))
-    else:
-        K = ambient
-    mat = fn.operator_matrix(K)
-    kernel = _linalg.nullspace(mat, p)
+    K = GF(p, F.k * fn.splitting_degree(budget)) if ambient is None else ambient
+    kernel = _linalg.nullspace(fn.operator_matrix(K), p)
     if kernel.shape[0] != m * n:
         raise BudgetExceeded(
             f"kernel dimension {kernel.shape[0]} != {m*n}; ambient field too small"
         )
-    # enumerate the span and extract the canonical (rref) basis from the roots
-    vectors = _span(kernel, p)
-    roots = [K.element(tuple(int(v) for v in row)) for row in vectors]
-    root_set = frozenset(roots)
+    basis = tuple(K.element(row) for row in _linalg.row_space_basis(kernel, p))
     fnK = fn.map_into(K)
-    for r in roots[: min(len(roots), 8)]:
-        assert fnK.evaluate(r).is_zero()
-    # closure under addition and F_p-scaling
-    probe = roots[:: max(1, len(roots) // 16)]
-    for x in probe:
-        for y in probe:
-            assert x + y in root_set
-        for lam in range(p):
-            assert x * lam in root_set
-    basis_rows = _linalg.row_space_basis(kernel, p)  # same row space as vectors
-    basis = [K.element(tuple(int(v) for v in row)) for row in basis_rows]
-    min_deg = reduce(
-        math.lcm, [r.degree_over_prime() for r in basis], F.k
+    _certify(
+        len(basis) == m * n and all(fnK.evaluate(b).is_zero() for b in basis),
+        f"the basis of Z_{n} is not {m*n} roots of f^{n}",
     )
-    ordered = tuple(sorted(roots, key=lambda r: r.sort_key()))
-    return RootSpace(f, n, K, tuple(basis), ordered, min_deg)
+    return RootSpace(f, n, K, basis)
 
 
 def _span(basis: np.ndarray, p: int) -> np.ndarray:
@@ -315,7 +313,7 @@ def additive_from_json(d: dict) -> AdditivePoly:
 
 def root_space(f: AdditivePoly, n: int, budget: int | None = None,
                ambient: FiniteField | None = None) -> RootSpace:
-    """Z_n for separable f: all p^(mn) roots of f^n plus a canonical basis.
+    """Z_n for separable f: a certified canonical basis of the roots of f^n.
 
     The splitting field is the canonical field of the minimal degree unless
     an explicit ambient extension is supplied (it must contain all roots).

@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (orbit only)")
 
     c = sub.add_parser("census", help="conjugacy census of monic additive maps")
     c.add_argument("--p", type=int, required=True)
@@ -394,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--a", required=True, help="parameter value, or a comma list")
     c.add_argument("--max-steps", type=int, default=16)
+    c.add_argument("--jobs", type=int, default=1, help="worker processes")
     common(c)
     c.set_defaults(fn=cmd_orbit)
 

@@ -233,7 +233,8 @@ def are_conjugate(g1: AdditivePoly, g2: AdditivePoly) -> Pgl2 | None:
     under ``conjugating_set(g1)``.  Those depend on gamma alone and delta = 0
     is in the set for every gamma, so gamma is walked in the set's order and
     field; the witness is the set's first map carrying g1 to g2, z -> gamma z,
-    over the common overfield of the set's field and g2's field.
+    over the common overfield of the set's field and g2's field.  Fix(g1)
+    enters only through its field, read off its root space's certified basis.
     """
     F, p, m = g1.field, g1.field.p, g1.frobenius_degree
     if p != g2.field.p or m != g2.frobenius_degree:
@@ -243,10 +244,7 @@ def are_conjugate(g1: AdditivePoly, g2: AdditivePoly) -> Pgl2 | None:
     if F == g2.field and g1.coeffs[0] != g2.coeffs[0]:
         return None  # the multiplier at the fixed point 0 is an invariant
     units = GF(p, m)
-    # the field of fix_points(g1), without enumerating the points; like
-    # root_space, splitting_degree raises BudgetExceeded past the budget
-    Kfix = GF(p, F.k * _fixed_point_core(g1).splitting_degree(enumeration_budget()))
-    cs_field = common_overfield(F, units, Kfix)
+    cs_field = common_overfield(F, units, root_space(_fixed_point_core(g1), 1).field)
     E = common_overfield(cs_field, g2.field)
     gammas = sorted(
         (embed(x, cs_field) for x in units.elements() if not x.is_zero()),
@@ -327,7 +325,7 @@ def census(p: int, m: int, q: int, budget: int | None = None,
     The z-coefficient is the multiplier at the fixed point 0 and is equal
     across all monic additive members of a class, so it prefilters the
     pairwise tests.  Fibers of the coefficient parametrization are class
-    sizes; each is checked against the (p^m - 1) * |Fix| bound.
+    sizes; each is checked against the (p^m - 1) * |Fix| bound, |Fix| = p^dim.
     """
     if budget is None:
         budget = enumeration_budget()
@@ -384,8 +382,7 @@ def census(p: int, m: int, q: int, budget: int | None = None,
     for root, members in classes.items():
         size = len(members)
         hist[size] = hist.get(size, 0) + 1
-        fixed, _K = fix_points(polys[root])
-        bound = (p**m - 1) * len(fixed)
+        bound = (p**m - 1) * len(root_space(_fixed_point_core(polys[root]), 1))
         if size > bound:
             bound_ok = False
     max_fiber = max(hist) if hist else 0

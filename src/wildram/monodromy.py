@@ -7,12 +7,12 @@ carry a free transitive action of an elementary abelian p-group of rank
 m*n, and the tower projections are alpha -> f(alpha).
 
 Every answer comes from a basis of Z_n, never from enumerating the group:
-the basis coordinates have rank m*n over F_p, and root_space certifies
-that Z_n is the whole kernel of f^n and closed under addition, so the
-order is p^(m*n) and the action is free and transitive; p*b = 0 on the
-basis gives exponent p.  A projection is f on the basis of Z_n, and rank
-certificates show that its image is Z_(n-1) and its kernel has order p^m.
-Explicit permutation tables (``GroupAction``) and the literal projection
+root_space certifies m*n independent vectors on which f^n vanishes, so
+their span is all p^(m*n) roots of the separable f^n, the order is
+p^(m*n) and the action is free and transitive; p*b = 0 on the basis gives
+exponent p.  A projection is f on the basis of Z_n, and rank certificates
+show that its image is Z_(n-1) and its kernel has order p^m.  Element
+lists, permutation tables (``GroupAction``) and the literal projection
 ``mapping`` are built only when asked for, as oracles.
 
 Characteristic zero cannot reproduce this: a polynomial of degree d has a
@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
 from . import _linalg
 from .addpoly import AdditivePoly, RootSpace, is_separable, root_space
 from .dynsys import ProjPoint, RationalMap, ram_profile
-from .errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime
+from .errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime, _certify
 from .ff import enumeration_budget, is_prime
 
 
@@ -49,14 +48,13 @@ class GroupAction:
     and ``perms[g]`` maps each point to its image under g.
     """
 
-    def __init__(self, elements, points, perms, compose=None):
+    def __init__(self, elements, points, perms):
         self.elements = list(elements)
         self.points = list(points)
         self.perms = perms
-        self._compose = compose
 
     @classmethod
-    def translation(cls, roots, add=None):
+    def translation(cls, roots):
         """The regular action x -> x + a of an additive group on itself.
 
         The table has |roots|^2 entries; more than the enumeration budget
@@ -68,18 +66,8 @@ class GroupAction:
             raise BudgetExceeded(
                 f"translation table of {len(elems)}^2 entries exceeds the budget {budget}"
             )
-        if add is None:
-            add = lambda a, x: a + x
-        perms = {a: {x: add(a, x) for x in elems} for a in elems}
+        perms = {a: {x: a + x for x in elems} for a in elems}
         return cls(elems, list(elems), perms)
-
-    @classmethod
-    def symmetric(cls, n: int):
-        """The natural action of S_n on n points."""
-        pts = list(range(n))
-        elems = list(permutations(pts))
-        perms = {g: {i: g[i] for i in pts} for g in elems}
-        return cls(elems, pts, perms)
 
     def stabilizer_orders(self) -> dict:
         """Point -> order of its stabilizer subgroup."""
@@ -128,7 +116,7 @@ def _coords(elems) -> np.ndarray:
 class TranslationAction(GroupAction):
     """Z_n acting on itself by x -> x + a, answered from its basis.
 
-    ``rank`` is the F_p-rank of the basis coordinates.  When it is m*n the
+    ``rank`` is the dimension of the certified basis.  When it is m*n the
     action is free and transitive (see the module docstring); in
     characteristic p every nonzero element has order p.  ``elements`` and
     ``points`` list Z_n; ``perms``, ``stabilizer_orders()`` and ``table()``
@@ -137,7 +125,7 @@ class TranslationAction(GroupAction):
 
     def __init__(self, space: RootSpace):
         self.space = space
-        self.rank = _linalg.rank(_coords(space.basis), space.field.p)
+        self.rank = space.dimension
         self.certified = self.rank == space.poly.frobenius_degree * space.level
 
     @property
@@ -145,10 +133,6 @@ class TranslationAction(GroupAction):
         return list(self.space.all_roots)
 
     points = elements
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.space.all_roots)
 
     def table(self) -> GroupAction:
         """The explicit permutation tables, within the enumeration budget."""
@@ -165,9 +149,12 @@ class TranslationAction(GroupAction):
         return self.certified
 
     def element_order(self, g) -> int:
-        if g not in self._members:
+        K = self.space.field
+        if getattr(g, "field", None) != K:
             raise KeyError(g)
-        return 1 if g.is_zero() else self.space.field.p
+        if _linalg.rank(_coords(self.space.basis + (g,)), K.p) != self.rank:  # g is not in Z_n
+            raise KeyError(g)
+        return 1 if g.is_zero() else K.p
 
 
 @dataclass(frozen=True)
@@ -185,19 +172,18 @@ class MonodromyLevel:
 
     @property
     def order(self) -> int:
-        return self.poly.field.p ** self.space.dimension
+        return len(self.space)
 
     def abelian_invariants(self) -> tuple[int, ...]:
         """Invariant factors, all p: p*b = 0 on a basis of rank dim Z_n."""
         p = self.poly.field.p
-        for b in self.space.basis:
-            assert (b * p).is_zero(), f"basis element of order > {p}"
+        _certify(all((b * p).is_zero() for b in self.space.basis), f"basis element of order > {p}")
         return (p,) * self.space.dimension
 
 
 def _level(f: AdditivePoly, zs: RootSpace) -> MonodromyLevel:
     action = TranslationAction(zs)
-    assert action.certified, f"basis of Z_{zs.level} has rank {action.rank}"
+    _certify(action.certified, f"basis of Z_{zs.level} has rank {action.rank}")
     return MonodromyLevel(f, zs.level, zs, action)
 
 
@@ -271,12 +257,12 @@ def tower(f: AdditivePoly, N: int, budget: int | None = None) -> Tower:
         images = tuple(fK.evaluate(b) for b in upper.space.basis)
         rows = _coords(images)
         stacked = np.vstack([_coords(lower.space.basis), rows])
-        assert _linalg.rank(stacked, p) == lower.action.rank, \
-            "projection left the lower root space"
+        _certify(_linalg.rank(stacked, p) == lower.action.rank,
+                 "projection left the lower root space")
         rank = _linalg.rank(rows, p)
-        assert rank == m * (n - 1), "projection must be onto"
+        _certify(rank == m * (n - 1), "projection must be onto")
         kernel = p ** (m * n - rank)
-        assert kernel == p**m, f"kernel size {kernel} != p^m"
+        _certify(kernel == p**m, f"kernel size {kernel} != p^m")
         projections.append(TowerProjection(n, n - 1, images, kernel, upper.space, fK))
     return Tower(f, tuple(levels), tuple(projections))
 
@@ -384,13 +370,13 @@ def lift_obstruction(f: AdditivePoly, budget: int | None = None) -> LiftObstruct
     n = max(1, -(-3 // ell))
     level = monodromy_level(f, n, budget=budget)
     report = char0_obstruction(p, n * ell)
-    assert report.obstructed, "nm >= 3 must yield an obstructed degree"
+    _certify(report.obstructed, "nm >= 3 must yield an obstructed degree")
     return LiftObstructionCertificate(
         p=p,
         ell=ell,
         n=n,
         level_order=level.order,
-        level_points=len(level.space.all_roots),
+        level_points=len(level.space),
         level_free=level.action.is_free(),
         level_transitive=level.action.is_transitive(),
         invariants=level.abelian_invariants(),

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -177,13 +182,21 @@ def test_root_space_theorem_dimension():
 
 
 def test_root_space_matches_bruteforce_roots():
-    # oracle: roots of the dense iterate found by exhaustive scan
-    F3 = GF(3)
-    f = AdditivePoly(F3, [1, 1])  # z^3 + z
-    zs = root_space(f, 2)
-    dense = iterate(f, 2).to_fqpoly().map_into(zs.field)
-    brute = {e for e in zs.field.elements() if dense.evaluate(e).is_zero()}
-    assert set(zs.all_roots) == brute
+    # oracle: an exhaustive scan of the splitting field for the roots of the
+    # iterate, against the span of the certified basis, in sort_key order
+    for field, coeffs, n in (
+        ((3, 1), [1, 1], 2),  # z^3 + z: 9 roots in GF(3^6)
+        ((3, 1), [-1, 1], 3),  # z^3 - z: GF(27) is the root space
+        ((5, 1), [-1, 1], 2),  # 25 roots in GF(5^5)
+        ((2, 2), [1, 1, 1], 3),  # 64 roots in GF(2^12)
+        ((2, 1), [1, 0, 0, 1], 4),  # z^8 + z: 2^12 roots, all of GF(2^12)
+    ):
+        f = AdditivePoly(GF(*field), coeffs)
+        zs = root_space(f, n)
+        fn = iterate(f, n).map_into(zs.field)
+        brute = [e for e in zs.field.elements() if fn.evaluate(e).is_zero()]
+        assert zs.all_roots == tuple(sorted(brute, key=lambda e: e.sort_key()))
+        assert len(zs) == len(brute) == zs.field.p ** zs.dimension
 
 
 def test_root_space_span_equals_roots():
@@ -227,6 +240,44 @@ def test_root_space_errors():
     f = AdditivePoly(F3, [1, 1])
     with pytest.raises(BudgetExceeded):
         root_space(f, 2, budget=5)
+
+
+def test_corrupted_basis_fails_under_python_O():
+    # a wrong kernel basis must be caught with asserts off, before any root
+    # is enumerated: 1 is not a root of (z^3 + z)^2, so b + 1 is not either
+    child = textwrap.dedent(
+        """
+        import sys
+        from wildram import _linalg
+        from wildram.addpoly import AdditivePoly, root_space
+        from wildram.errors import CertificateFailed
+        from wildram.ff import GF
+
+        assert False, "asserts are on"
+        real = _linalg.row_space_basis
+
+        def shifted(mat, p):
+            rows = real(mat, p).copy()
+            rows[0, 0] = (rows[0, 0] + 1) % p
+            return rows
+
+        _linalg.row_space_basis = shifted
+        try:
+            root_space(AdditivePoly(GF(3), [1, 1]), 2)
+        except CertificateFailed as exc:
+            print("CertificateFailed:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "is not 2 roots of f^2" in proc.stdout
 
 
 def test_level_below_one_is_a_bad_parameter():

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+from wildram import addpoly
 from wildram.addpoly import AdditivePoly
 from wildram.domains import RationalDomain
 from wildram.dynsys import RationalMap
 from wildram.errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime
 from wildram.ff import GF
+from wildram.moduli import are_conjugate, census
 from wildram.monodromy import (
     GroupAction,
     char0_obstruction,
@@ -22,6 +24,13 @@ from wildram.monodromy import (
 )
 
 QQ = RationalDomain()
+
+
+def symmetric(n):
+    """The natural action of S_n on n points."""
+    pts = list(range(n))
+    elems = list(permutations(pts))
+    return GroupAction(elems, pts, {g: {i: g[i] for i in pts} for g in elems})
 
 
 def test_monodromy_level_examples():
@@ -57,7 +66,7 @@ def test_free_transitive_order_equality():
 
 
 def test_group_action_helpers():
-    s3 = GroupAction.symmetric(3)
+    s3 = symmetric(3)
     assert not is_free(s3)
     assert stabilizer_orders(s3) == [2, 2, 2]
 
@@ -145,6 +154,25 @@ def test_translation_table_respects_budget(monkeypatch):
         lvl.action.perms
     with pytest.raises(BudgetExceeded):
         GroupAction.translation(lvl.space.all_roots)
+
+
+def test_queries_never_enumerate_root_spaces(monkeypatch):
+    # every query answer comes from the basis of Z_n; spanning it is an oracle
+    def no_span(*args):
+        raise AssertionError("a query enumerated a root space")
+
+    addpoly._root_space_cached.cache_clear()
+    monkeypatch.setattr(addpoly, "_span", no_span)
+    f = AdditivePoly(GF(2), [1, 1])
+    lvl = monodromy_level(f, 16)
+    assert lvl.order == 2**16 and lvl.action.is_free() and lvl.action.is_transitive()
+    assert lvl.abelian_invariants() == (2,) * 16
+    assert [pr.kernel_size for pr in tower(AdditivePoly(GF(3), [1, 1]), 3).projections] == [3, 3]
+    assert lift_obstruction(f).level_points == 8
+    assert census(2, 2, 4).bound_ok
+    g = AdditivePoly(GF(3), [-1, 1])
+    assert are_conjugate(g, g) is not None
+    addpoly._root_space_cached.cache_clear()
 
 
 def test_range_errors_are_bad_parameters():
