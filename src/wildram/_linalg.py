@@ -1,17 +1,31 @@
 """Dense linear algebra over the prime field F_p, on numpy int64 arrays.
 
-All matrices hold integers reduced mod p.  These routines back the heavy
-parts of the package: kernels of additive operators, subfield detection,
-and canonical basis extraction.  Everything is exact.
+All matrices hold integers reduced mod p.  These routines back the parts of
+the package that solve F_p matrices: kernels of additive operators,
+subfield detection, rank certificates and canonical basis extraction.
+Everything is exact.  numpy is imported on the first call, not with the
+module, so field arithmetic that never reaches a matrix never loads it.
+
+Products are exact while inner_dim * (p-1)^2 < 2^63; ``matmul``, and so
+``matpow``, refuses larger ones with BadParameter.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+from .errors import BadParameter
+
+if TYPE_CHECKING:
+    import numpy as np
+
+INT64_LIMIT = 1 << 63
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.  Returns (rref matrix, pivot columns)."""
+    import numpy as np
+
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -42,6 +56,8 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel of mat over F_p, one basis vector per row."""
+    import numpy as np
+
     a, pivots = rref(mat, p)
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
@@ -55,6 +71,8 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     """One solution of mat @ x = rhs over F_p, or None when inconsistent."""
+    import numpy as np
+
     a = np.array(mat, dtype=np.int64) % p
     b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
     aug, pivots = rref(np.hstack([a, b]), p)
@@ -69,6 +87,8 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
 
 def inverse(mat: np.ndarray, p: int) -> np.ndarray | None:
     """Inverse matrix mod p, or None if singular."""
+    import numpy as np
+
     a = np.array(mat, dtype=np.int64) % p
     n = a.shape[0]
     aug, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
@@ -78,15 +98,24 @@ def inverse(mat: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # Exact while inner_dim * (p-1)^2 < 2^63; nothing here checks that.
-    # FiniteField enforces it for the k x k products of its Frobenius and
-    # embedding matrices.
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    """a @ b mod p for entries in [0, p); b may be a vector."""
+    import numpy as np
+
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 >= INT64_LIMIT:
+        raise BadParameter(
+            f"mod-{p} product of shapes {a.shape} x {b.shape}: inner dimension "
+            f"{inner} * (p-1)^2 >= 2^63 would overflow int64"
+        )
+    return (a @ b) % p
 
 
 def matpow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.eye(mat.shape[0], dtype=np.int64)
+    import numpy as np
+
     base = np.array(mat, dtype=np.int64) % p
+    result = np.eye(base.shape[0], dtype=np.int64)
     while e > 0:
         if e & 1:
             result = matmul(result, base, p)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _linalg
 from .errors import (BadParameter, BudgetExceeded, CertificateFailed, FieldMismatch,
@@ -28,6 +27,9 @@ from .ff import (
     embed,
     enumeration_budget,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AdditivePoly:
@@ -104,6 +106,8 @@ class AdditivePoly:
 
     def operator_matrix(self, K: FiniteField) -> np.ndarray:
         """Matrix of the induced F_p-linear map on K (coefficients embedded)."""
+        import numpy as np
+
         p = self.field.p
         frob = K.frobenius_matrix()
         mat = np.zeros((K.k, K.k), dtype=np.int64)
@@ -137,6 +141,8 @@ class AdditivePoly:
             budget = enumeration_budget()
         if p**M > budget:
             raise BudgetExceeded(f"{p}^{M} roots exceed the budget {budget}")
+        import numpy as np
+
         lead_inv = self.coeffs[-1].inverse()
         fold = np.stack([F.mult_matrix(-c * lead_inv) for c in self.coeffs[:-1]])
         frob_t = F.frobenius_matrix().T
@@ -243,6 +249,8 @@ class RootSpace:
     @property
     def all_roots(self) -> tuple:
         if self._roots is None:
+            import numpy as np
+
             K = self.field
             basis = np.array([b.coords for b in self.basis], dtype=np.int64).reshape(-1, K.k)
             coords = sorted(tuple(int(v) for v in row) for row in _span(basis, K.p))
@@ -288,6 +296,8 @@ def _root_space_cached(f: AdditivePoly, n: int, budget: int, ambient) -> RootSpa
 
 
 def _span(basis: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
+
     dim, width = basis.shape
     if dim == 0:
         return np.zeros((1, width), dtype=np.int64)

@@ -231,6 +231,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    if args.dot and not args.orbit:
+        raise BadInput("--dot draws the orbit's mapping scheme and needs --orbit")
     L = build_lift(args.p, a=args.a)
     payload = {"lift": L.to_json()}
     human = [f"lift for p={args.p}, a={args.a}: valuations {L.coefficient_valuations()}"]
@@ -385,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--locus", type=int, nargs=2, metavar=("M", "N"))
     c.add_argument("--critical", action="store_true")
     c.add_argument("--scaling-check", action="store_true")
-    c.add_argument("--dot", action="store_true")
+    c.add_argument("--dot", action="store_true",
+                   help="emit the orbit's mapping scheme as DOT instead of the report (needs --orbit)")
     common(c)
     c.set_defaults(fn=cmd_lift)
 

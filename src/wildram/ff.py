@@ -18,10 +18,14 @@ is exact and deterministic:
   through already-known smaller embeddings so that chains compose
   consistently within a session.
 
-Heavy operations (Frobenius powering, kernels, reductions in fields of
-large degree) run on numpy int64 arrays mod p; small fields use plain
-tuple arithmetic.  The int64 sums stay exact while k * (p-1)^2 < 2^63,
-which FiniteField enforces.
+Element arithmetic (products, inverses, Frobenius powers) runs on plain
+Python ints up to degree _NUMPY_MUL_DEGREE.  numpy int64 arrays mod p are
+used only where F_p matrices are built or solved: the Frobenius, product
+and embedding matrices, subfield detection for large targets, and
+products and inverses in fields of larger degree.  numpy is imported
+there, on first use, so a query that solves no matrix never loads it.
+The int64 sums stay exact while k * (p-1)^2 < 2^63, which FiniteField
+enforces.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ import math
 import os
 import random
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _linalg, _poly
 from .errors import (
@@ -48,15 +51,14 @@ from .errors import (
     _certify,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_BUDGET = 1 << 16
 
-# Above this extension degree, element products go through numpy.
+# Above this extension degree, element products, inverses and Frobenius
+# powers go through numpy.
 _NUMPY_MUL_DEGREE = 24
-# Struct-constant tensors are only built for small fields (k**3 entries).
-_STRUCT_TENSOR_MAX_K = 8
-# Coordinate products sum k terms below (p-1)^2 in int64; FiniteField
-# requires k * (p-1)^2 < 2^63.
-_INT64_LIMIT = 1 << 63
 # Root finding scans K when |K| <= _SCAN_RATIO * (deg - 1) * bit_length(|K|).
 # A scan costs about |K| * deg products in K; Cantor-Zassenhaus about
 # deg * (deg - 1) * log|K| (powering modulo the polynomial, and nothing
@@ -175,19 +177,31 @@ def _fp_powmod(base, e: int, mu, p: int) -> tuple[int, ...]:
     return result
 
 
-def _fp_frobenius_rows(mu: tuple[int, ...], p: int) -> np.ndarray:
-    """Rows x^(i*p) mod mu for 0 <= i < deg(mu), as a (k, k) int64 matrix."""
+def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[list[int]]:
+    """Rows x^(i*e) mod mu for 0 <= i < k = deg(mu), each as k ints.
+
+    With e = p^j, row i holds the coordinates of (x^i)^(p^j): the rows of
+    the transposed matrix of c -> c^(p^j).
+    """
     k = len(mu) - 1
-    rows = np.zeros((k, k), dtype=np.int64)
-    # xp on the left: for p < k it is the monomial x^p, so each product is
+    # xe on the left: for e < k it is the monomial x^e, so each product is
     # a shift and the table costs what direct shifting would.
-    xp = _fp_powmod((0, 1), p, mu, p)
+    xe = _fp_powmod((0, 1), e, mu, p)
+    rows = []
     cur: tuple[int, ...] = (1,)
     for i in range(k):
-        rows[i, : len(cur)] = cur
+        rows.append(list(cur) + [0] * (k - len(cur)))
         if i + 1 < k:
-            cur = _fp_mulmod(xp, cur, mu, p)
+            cur = _fp_mulmod(xe, cur, mu, p)
     return rows
+
+
+def _accumulate(out: list[int], coeffs, rows) -> list[int]:
+    """out + sum of coeffs[i] * rows[i], entrywise and unreduced."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [o + c * r for o, r in zip(out, row)]
+    return out
 
 
 def _fp_is_irreducible(mu: tuple[int, ...], p: int) -> bool:
@@ -255,7 +269,8 @@ class FiniteField:
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise DegreeMismatch("extension degree must be positive")
-        if k * (p - 1) ** 2 >= _INT64_LIMIT:
+        # int64 coordinate products sum k terms below (p-1)^2
+        if k * (p - 1) ** 2 >= _linalg.INT64_LIMIT:
             raise BadParameter(
                 f"GF({p}^{k}) is outside the supported range k*(p-1)^2 < 2^63"
             )
@@ -327,59 +342,46 @@ class FiniteField:
         for n in range(self.order):
             yield self.element_from_index(n)
 
-    # -- cached numpy structure ---------------------------------------------
+    # -- cached structure ----------------------------------------------------
 
-    def _reduction(self) -> np.ndarray:
-        """Rows x^(k+j) mod modulus for 0 <= j < k-1."""
+    def _reduction_rows(self) -> list[list[int]]:
+        """Rows x^(k+j) mod modulus for 0 <= j < k-1, as int lists."""
         red = self._cache.get("red")
         if red is None:
             p, k, mu = self.p, self.k, self.modulus
-            red = np.zeros((max(k - 1, 0), k), dtype=np.int64)
+            red = []
             cur = [(-mu[j]) % p for j in range(k)]  # x^k mod mu
-            for j in range(k - 1):
-                red[j] = cur
+            for _ in range(k - 1):
+                red.append(cur)
                 top = cur[-1]
                 cur = [0] + cur[:-1]
                 if top:
-                    for t in range(k):
-                        cur[t] = (cur[t] - top * mu[t]) % p
+                    cur = [(c - top * m) % p for c, m in zip(cur, mu)]
             self._cache["red"] = red
         return red
 
-    def _reduction_rows(self) -> list[list[int]]:
-        """_reduction() as Python int lists, for the pure-Python product."""
-        rows = self._cache.get("red_rows")
+    def _frobenius_rows(self, j: int) -> list[list[int]]:
+        """Row i holds the coordinates of (x^i)^(p^j), for 0 <= i < k."""
+        rows = self._cache.get(("frob_rows", j))
         if rows is None:
-            rows = self._reduction().tolist()
-            self._cache["red_rows"] = rows
+            rows = _fp_power_rows(self.modulus, self.p, self.p**j)
+            self._cache[("frob_rows", j)] = rows
         return rows
 
     def frobenius_matrix(self) -> np.ndarray:
         """Matrix of c -> c^p on coordinates (columns are basis images)."""
+        import numpy as np
+
         mat = self._cache.get("frob")
         if mat is None:
-            mat = _fp_frobenius_rows(self.modulus, self.p).T.copy()
+            mat = np.array(self._frobenius_rows(1), dtype=np.int64).T.copy()
             self._cache["frob"] = mat
         return mat
 
-    def struct_tensor(self) -> np.ndarray | None:
-        """S[a, b, c] = coordinate a of (basis_b * basis_c); small fields only."""
-        if self.k > _STRUCT_TENSOR_MAX_K:
-            return None
-        s = self._cache.get("struct")
-        if s is None:
-            k = self.k
-            s = np.zeros((k, k, k), dtype=np.int64)
-            for b in range(k):
-                eb = tuple(1 if t == b else 0 for t in range(k))
-                for c in range(k):
-                    ec = tuple(1 if t == c else 0 for t in range(k))
-                    s[:, b, c] = self._mul_coords(eb, ec)
-            self._cache["struct"] = s
-        return s
-
     def mult_matrix(self, elem: FieldElement) -> np.ndarray:
         """Matrix of multiplication by elem on coordinates."""
+        import numpy as np
+
         k = self.k
         mat = np.zeros((k, k), dtype=np.int64)
         cur = elem.coords
@@ -411,17 +413,27 @@ class FiniteField:
                 if ai:
                     for j, bj in enumerate(b):
                         conv[i + j] += ai * bj
-            out = conv[:k]
-            for c, row in zip(conv[k:], self._reduction_rows()):
-                if c:
-                    out = [o + c * r for o, r in zip(out, row)]
+            out = _accumulate(conv[:k], conv[k:], self._reduction_rows())
             return tuple(v % p for v in out)
+        import numpy as np
+
+        red = self._cache.get("red_np")
+        if red is None:
+            red = self._cache["red_np"] = np.array(self._reduction_rows(), dtype=np.int64)
         conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
-        out = conv[:k].copy()
-        tail = conv[k:]
-        if tail.size:
-            out += tail @ self._reduction()[: tail.size]
+        out = conv[:k] + conv[k:] @ red
         return tuple(int(v) for v in out % p)
+
+    def _frobenius_coords(self, a, j: int):
+        """Coordinates of a^(p^j) for 0 < j < k, by a per-j cached operator."""
+        p, k = self.p, self.k
+        if k <= _NUMPY_MUL_DEGREE:
+            return tuple(v % p for v in _accumulate([0] * k, a, self._frobenius_rows(j)))
+        mat = self._cache.get(("frob_np", j))
+        if mat is None:
+            mat = _linalg.matpow(self.frobenius_matrix(), j, p)
+            self._cache[("frob_np", j)] = mat
+        return tuple(int(v) for v in _linalg.matmul(mat, a, p))
 
     def _inv_coords(self, a):
         p, k = self.p, self.k
@@ -431,9 +443,7 @@ class FiniteField:
             return (pow(a[0], -1, p),)
         if k > _NUMPY_MUL_DEGREE:
             mat = self.mult_matrix(FieldElement(self, tuple(a)))
-            e0 = np.zeros(k, dtype=np.int64)
-            e0[0] = 1
-            sol = _linalg.solve(mat, e0, p)
+            sol = _linalg.solve(mat, (1,) + (0,) * (k - 1), p)
             return tuple(int(v) for v in sol)
         # extended Euclid in F_p[x]: maintain t_i with t_i * a = r_i (mod modulus)
         r0, r1 = self.modulus, _fp_trim(list(a))
@@ -540,16 +550,12 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv_coords(self.coords))
 
     def frobenius(self, j: int = 1) -> FieldElement:
-        """p^j-th power via the cached Frobenius matrix."""
+        """p^j-th power, a linear map on coordinates cached per j."""
         F = self.field
         j %= F.k
         if j == 0:
             return self
-        mat = F.frobenius_matrix()
-        if j > 1:
-            mat = _linalg.matpow(mat, j, F.p)
-        vec = (mat @ np.asarray(self.coords, dtype=np.int64)) % F.p
-        return FieldElement(F, tuple(int(v) for v in vec))
+        return FieldElement(F, F._frobenius_coords(self.coords, j))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -756,37 +762,14 @@ class _FrobMod:
     def __init__(self, g: FqPoly):
         self.g = g.monic()
         self.field = g.field
-        n = self.g.degree
-        self.n = n
         xp = FqPoly.x(self.field).pow_mod(self.field.p, self.g)
         rows = [FqPoly.from_ints(self.field, [1])]
-        for _ in range(1, n):
-            rows.append((xp * rows[-1]) % self.g)  # xp left: see _fp_frobenius_rows
+        for _ in range(1, self.g.degree):
+            rows.append((xp * rows[-1]) % self.g)  # xp left: see _fp_power_rows
         self.rows = rows
-        self._np = None
-        k, p = self.field.k, self.field.p
-        # The einsum in apply_p sums n * k^2 products of three residues.
-        if k <= _STRUCT_TENSOR_MAX_K and n * k * k * (p - 1) ** 3 < _INT64_LIMIT:
-            table = np.zeros((n, n, k), dtype=np.int64)
-            for i, r in enumerate(rows):
-                for e, c in enumerate(r.coeffs):
-                    table[i, e] = c.coords
-            self._np = (table, self.field.struct_tensor(), self.field.frobenius_matrix())
 
     def apply_p(self, h: FqPoly) -> FqPoly:
         """h^p mod g for deg(h) < deg(g)."""
-        if self._np is not None:
-            table, struct, frob = self._np
-            k = self.field.k
-            arr = np.zeros((self.n, k), dtype=np.int64)
-            for i, c in enumerate(h.coeffs):
-                arr[i] = c.coords
-            arr = (arr @ frob.T) % self.field.p
-            out = np.einsum("ib,iec,abc->ea", arr, table, struct) % self.field.p
-            return FqPoly(
-                self.field,
-                [self.field.element(tuple(int(v) for v in out[e])) for e in range(self.n)],
-            )
         acc = FqPoly(self.field, [])
         for i, c in enumerate(h.coeffs):
             if not c.is_zero():
@@ -867,6 +850,8 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
     # Otherwise locate the subfield of order p^a, present mu over an
     # abstract copy of it, where it splits into distinct linear factors,
     # split it and map one root back.
+    import numpy as np
+
     frob = target.frobenius_matrix()
     mat = (_linalg.matpow(frob, a, p) - np.eye(target.k, dtype=np.int64)) % p
     sub_basis = _linalg.nullspace(mat, p)
@@ -917,6 +902,8 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
 
 def embedding_matrix(src: FiniteField, target: FiniteField) -> np.ndarray:
     """Coordinate matrix of the session-fixed embedding src -> target."""
+    import numpy as np
+
     if src.p != target.p:
         raise NoEmbedding("different characteristics")
     if target.k % src.k != 0:
@@ -961,8 +948,11 @@ def embed(x: FieldElement, target: FiniteField) -> FieldElement:
     """Image of x under the fixed embedding of its field into target."""
     if x.field == target:
         return x
-    mat = embedding_matrix(x.field, target)
-    vec = (mat @ np.asarray(x.coords, dtype=np.int64)) % target.p
+    if x.field.k == 1:  # F_p sits in every field of characteristic p as the constants
+        if x.field.p != target.p:
+            raise NoEmbedding("different characteristics")
+        return FieldElement(target, x.coords + (0,) * (target.k - 1))
+    vec = _linalg.matmul(embedding_matrix(x.field, target), x.coords, target.p)
     return FieldElement(target, tuple(int(v) for v in vec))
 
 

@@ -27,14 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _linalg
 from .addpoly import AdditivePoly, RootSpace, is_separable, root_space
 from .dynsys import ProjPoint, RationalMap, ram_profile
 from .errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime, _certify
 from .ff import enumeration_budget, is_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,8 @@ def stabilizer_orders(action: GroupAction) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _coords(elems) -> np.ndarray:
+    import numpy as np
+
     return np.array([x.coords for x in elems], dtype=np.int64)
 
 
@@ -256,7 +260,7 @@ def tower(f: AdditivePoly, N: int, budget: int | None = None) -> Tower:
         upper, lower = levels[n - 1], levels[n - 2]
         images = tuple(fK.evaluate(b) for b in upper.space.basis)
         rows = _coords(images)
-        stacked = np.vstack([_coords(lower.space.basis), rows])
+        stacked = _coords(lower.space.basis + images)
         _certify(_linalg.rank(stacked, p) == lower.action.rank,
                  "projection left the lower root space")
         rank = _linalg.rank(rows, p)

@@ -156,6 +156,33 @@ def test_frobenius_matrix_agrees_with_powering():
         assert x.frobenius() == x**3
 
 
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (101, 2), (2, 30)])
+def test_frobenius_powers_match_powering(p, k, monkeypatch):
+    # int rows up to _NUMPY_MUL_DEGREE, a cached numpy matrix power past it
+    F = GF(p, k)
+    rng = random.Random(p * k)
+    xs = [F.gen()] + [F.element_from_index(rng.randrange(F.order)) for _ in range(3)]
+    for x in xs:
+        for j in range(k):
+            assert x.frobenius(j) == x ** (p**j), (x, j)
+    monkeypatch.setattr(ff._linalg, "matpow", lambda *a: pytest.fail("Frobenius power recomputed"))
+    assert [x.frobenius(j) for x in xs for j in range(k)] == [x ** (p**j) for x in xs for j in range(k)]
+
+
+@pytest.mark.parametrize("src", [(2, None), (3, None), (101, None), (5, (2, 1))])
+def test_embed_from_prime_field_matches_embedding_matrix(src, fresh_embeddings):
+    p, modulus = src
+    Fp = make_field(p, 1, modulus)
+    for k in (1, 2, 3, 30 if p == 2 else 4):
+        K = GF(p, k)
+        mat = ff.embedding_matrix(Fp, K)
+        for c in range(min(p, 7)):
+            x = Fp.from_int(c)
+            assert embed(x, K) == K.element(mat @ np.array(x.coords)), (p, k, c)
+    with pytest.raises(NoEmbedding):
+        embed(Fp.one(), GF(7, 2))
+
+
 def test_embed_unit_and_homomorphism():
     F2, F4, F16 = GF(2), GF(2, 2), GF(2, 4)
     assert embed(F2.one(), F4) == F4.one()
