@@ -18,11 +18,11 @@ is exact and deterministic:
   through already-known smaller embeddings so that chains compose
   consistently within a session.
 
-Element arithmetic (products, inverses, Frobenius powers) runs on plain
-Python ints up to degree _NUMPY_MUL_DEGREE.  numpy int64 arrays mod p are
-used only where F_p matrices are built or solved: the Frobenius, product
-and embedding matrices, subfield detection for large targets, and
-products and inverses in fields of larger degree.  numpy is imported
+Element arithmetic runs on plain Python ints: Frobenius powers in every
+field, products and inverses up to degree _NUMPY_MUL_DEGREE.  numpy int64
+arrays mod p are used only where F_p matrices are built or solved: the
+Frobenius, product and embedding matrices, subfield detection for large
+targets, and products and inverses in fields of larger degree.  numpy is imported
 there, on first use, so a query that solves no matrix never loads it.
 The int64 sums stay exact while k * (p-1)^2 < 2^63, which FiniteField
 enforces.
@@ -56,8 +56,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 16
 
-# Above this extension degree, element products, inverses and Frobenius
-# powers go through numpy.
+# Above this extension degree, element products and inverses go through
+# numpy.
 _NUMPY_MUL_DEGREE = 24
 # Root finding scans K when |K| <= _SCAN_RATIO * (deg - 1) * bit_length(|K|).
 # A scan costs about |K| * deg products in K; Cantor-Zassenhaus about
@@ -177,8 +177,8 @@ def _fp_powmod(base, e: int, mu, p: int) -> tuple[int, ...]:
     return result
 
 
-def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[list[int]]:
-    """Rows x^(i*e) mod mu for 0 <= i < k = deg(mu), each as k ints.
+def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[list[tuple[int, int]]]:
+    """Rows x^(i*e) mod mu for 0 <= i < k = deg(mu), as sparse rows.
 
     With e = p^j, row i holds the coordinates of (x^i)^(p^j): the rows of
     the transposed matrix of c -> c^(p^j).
@@ -190,18 +190,40 @@ def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[list[int]]:
     rows = []
     cur: tuple[int, ...] = (1,)
     for i in range(k):
-        rows.append(list(cur) + [0] * (k - len(cur)))
+        rows.append(_sparse_row(cur))
         if i + 1 < k:
             cur = _fp_mulmod(xe, cur, mu, p)
     return rows
 
 
+def _sparse_row(coords) -> list[tuple[int, int]]:
+    """The nonzero entries of a coordinate vector as (index, value) pairs."""
+    return [(t, v) for t, v in enumerate(coords) if v]
+
+
 def _accumulate(out: list[int], coeffs, rows) -> list[int]:
-    """out + sum of coeffs[i] * rows[i], entrywise and unreduced."""
+    """Add coeffs[i] * rows[i] to out in place, unreduced; rows are sparse.
+
+    Rows x^i mod mu of a sparse modulus are mostly sparse (the lexicographic
+    moduli are), and skipping their zeros beats a dense pass even on dense
+    rows, since no list is rebuilt per row.
+    """
     for c, row in zip(coeffs, rows):
         if c:
-            out = [o + c * r for o, r in zip(out, row)]
+            for t, v in row:
+                out[t] += c * v
     return out
+
+
+def _rows_matrix(rows, k: int) -> np.ndarray:
+    """The sparse rows as a dense int64 matrix with k columns."""
+    import numpy as np
+
+    mat = np.zeros((len(rows), k), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for t, v in row:
+            mat[i, t] = v
+    return mat
 
 
 def _fp_is_irreducible(mu: tuple[int, ...], p: int) -> bool:
@@ -344,15 +366,15 @@ class FiniteField:
 
     # -- cached structure ----------------------------------------------------
 
-    def _reduction_rows(self) -> list[list[int]]:
-        """Rows x^(k+j) mod modulus for 0 <= j < k-1, as int lists."""
+    def _reduction_rows(self) -> list[list[tuple[int, int]]]:
+        """Rows x^(k+j) mod modulus for 0 <= j < k-1, as sparse rows."""
         red = self._cache.get("red")
         if red is None:
             p, k, mu = self.p, self.k, self.modulus
             red = []
             cur = [(-mu[j]) % p for j in range(k)]  # x^k mod mu
             for _ in range(k - 1):
-                red.append(cur)
+                red.append(_sparse_row(cur))
                 top = cur[-1]
                 cur = [0] + cur[:-1]
                 if top:
@@ -360,7 +382,7 @@ class FiniteField:
             self._cache["red"] = red
         return red
 
-    def _frobenius_rows(self, j: int) -> list[list[int]]:
+    def _frobenius_rows(self, j: int) -> list[list[tuple[int, int]]]:
         """Row i holds the coordinates of (x^i)^(p^j), for 0 <= i < k."""
         rows = self._cache.get(("frob_rows", j))
         if rows is None:
@@ -370,11 +392,9 @@ class FiniteField:
 
     def frobenius_matrix(self) -> np.ndarray:
         """Matrix of c -> c^p on coordinates (columns are basis images)."""
-        import numpy as np
-
         mat = self._cache.get("frob")
         if mat is None:
-            mat = np.array(self._frobenius_rows(1), dtype=np.int64).T.copy()
+            mat = _rows_matrix(self._frobenius_rows(1), self.k).T.copy()
             self._cache["frob"] = mat
         return mat
 
@@ -419,21 +439,15 @@ class FiniteField:
 
         red = self._cache.get("red_np")
         if red is None:
-            red = self._cache["red_np"] = np.array(self._reduction_rows(), dtype=np.int64)
+            red = self._cache["red_np"] = _rows_matrix(self._reduction_rows(), k)
         conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
         out = conv[:k] + conv[k:] @ red
         return tuple(int(v) for v in out % p)
 
     def _frobenius_coords(self, a, j: int):
-        """Coordinates of a^(p^j) for 0 < j < k, by a per-j cached operator."""
-        p, k = self.p, self.k
-        if k <= _NUMPY_MUL_DEGREE:
-            return tuple(v % p for v in _accumulate([0] * k, a, self._frobenius_rows(j)))
-        mat = self._cache.get(("frob_np", j))
-        if mat is None:
-            mat = _linalg.matpow(self.frobenius_matrix(), j, p)
-            self._cache[("frob_np", j)] = mat
-        return tuple(int(v) for v in _linalg.matmul(mat, a, p))
+        """Coordinates of a^(p^j) for 0 < j < k, from the cached rows for j."""
+        p = self.p
+        return tuple(v % p for v in _accumulate([0] * self.k, a, self._frobenius_rows(j)))
 
     def _inv_coords(self, a):
         p, k = self.p, self.k

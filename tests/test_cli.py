@@ -254,8 +254,11 @@ def test_numpy_loads_only_where_matrices_are_solved(tmp_path):
         ["normal-form", "--map", prime, "--json"],
     ):
         assert run(*argv) == [False, 0, False], argv
-    # the census solves root-space kernels: numpy is loaded there
+    # the census solves root-space kernels, and products above degree 24 run
+    # on numpy: numpy is loaded there
     assert run("census", "--p", "3", "--m", "1", "--q", "9", "--json") == [False, 0, True]
+    big = ["lift", "--p", "3", "--a", "1", "--reduce", "--sbar", "1", "--sbar-degree", "25", "--json"]
+    assert run(*big) == [False, 0, True]
 
 
 def test_usage_error_exit_code(capsys):
