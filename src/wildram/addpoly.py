@@ -263,7 +263,10 @@ class RootSpace:
         return reduce(math.lcm, [b.degree_over_prime() for b in self.basis], self.poly.field.k)
 
     def __len__(self):
-        return self.field.p ** self.dimension
+        p, dim = self.field.p, self.dimension
+        if p**dim >= 1 << 63:  # beyond what len() can return; use p ** dimension
+            raise BadParameter(f"|Z_{self.level}| = {p}^{dim} is too large for len()")
+        return p**dim
 
     def __repr__(self):
         return (

@@ -68,9 +68,18 @@ _SCAN_RATIO = 10
 
 
 def enumeration_budget() -> int:
-    """Active enumeration budget; WILDRAM_BUDGET overrides the default 2^16."""
-    raw = os.environ.get("WILDRAM_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    """Active enumeration budget; WILDRAM_BUDGET overrides the default 2^16.
+
+    Read on every call; a value that is not an integer >= 1 is refused.
+    """
+    raw = os.environ.get("WILDRAM_BUDGET") or str(DEFAULT_BUDGET)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise BadParameter(f"WILDRAM_BUDGET={raw!r} is not an integer of at least 1")
+    return budget
 
 
 def _scan_is_cheaper(order: int, deg: int) -> bool:
@@ -727,15 +736,6 @@ class FqPoly:
 
     def compose(self, other: FqPoly) -> FqPoly:
         return FqPoly(self.field, _poly.compose(self.coeffs, other.coeffs))
-
-    def shift(self, n: int) -> FqPoly:
-        """Multiply by z^n."""
-        if self.is_zero():
-            return self
-        return FqPoly(self.field, [self.field.zero()] * n + list(self.coeffs))
-
-    def map_coeffs(self, fn) -> FqPoly:
-        return FqPoly(self.field, [fn(c) for c in self.coeffs])
 
     def map_into(self, target: FiniteField) -> FqPoly:
         return FqPoly(target, [embed(c, target) for c in self.coeffs])

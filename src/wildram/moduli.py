@@ -10,35 +10,41 @@ depend on delta, and delta = 0 is always allowed (0 is a fixed point).
 Every returned witness is re-verified through the generic conjugation
 routine (``_certify``, kept under ``python -O``), so bookkeeping errors in
 embeddings cannot produce a false positive.
+
+The census: write a monic separable additive map over F_q as
+a = (a_0, ..., a_(m-1)), a_0 != 0, with support S = {i >= 1 : a_i != 0};
+let N = p^m - 1.  Its monic additive conjugates are the a_i gamma^(1 - p^i),
+gamma in mu_N.  gamma fixes a iff gamma^(p^i - 1) = 1 for i in S: the
+stabilizer is mu_s, s = gcd(N, p^i - 1 : i in S).  The image stays in F_q iff
+gamma^((p^i - 1)(q - 1)) = 1 for i in S: the admissible scalings are mu_h,
+h = gcd(N, (p^i - 1)(q - 1) : i in S).  So the class of a in the family is
+one orbit of the cyclic group mu_h/mu_s, of h/s members, and
+
+    class_count(p, m, q) = sum over S of (q - 1)^(|S|+1) s_S / h_S.
+
+As h/s <= N, the full support alone gives at least (q - 1)^m / N classes,
+and there are (q - 1) q^(m-1) maps, so class_count / q^m stays between
+1/(2^m N) and 1 as q grows: the classes form an m-dimensional family modulo
+a finite group.  The orbit steps t^(1 - p^i), t generating mu_h, lie in F_q,
+so the census walks each class inside F_q.  Their group is Frobenius-stable,
+so it is the same whichever embeddings of F_q and F_(p^m) into a common
+field were chosen, and no call history that changes those can change it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
+from itertools import accumulate, chain, combinations, islice, product
+from math import gcd
 
 from .addpoly import AdditivePoly, recognize_additive, root_space
 from .domains import FiniteFieldDomain
 from .dynsys import Pgl2, RationalMap, conjugate
-from .errors import (
-    BudgetExceeded,
-    DegreeMismatch,
-    Inseparable,
-    NotAdditiveShape,
-    _certify,
-)
-from .ff import (
-    GF,
-    FieldElement,
-    FiniteField,
-    FqPoly,
-    common_overfield,
-    embed,
-    enumeration_budget,
-    roots_in,
-    solve_power,
-    splitting_degree,
-)
+from .errors import (BadParameter, BudgetExceeded, DegreeMismatch, Inseparable,
+                     NotAdditiveShape, _certify)
+from .ff import (GF, FieldElement, FiniteField, FqPoly, common_overfield, embed,
+                 enumeration_budget, roots_in, solve_power, splitting_degree)
 
 
 def _parse_additive_with_constant(g) -> tuple[FiniteField, list[FieldElement], FieldElement]:
@@ -279,54 +285,58 @@ class CensusReport:
     witness_samples: list[dict] = dc_field(default_factory=list)
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "m": self.m,
-            "q": self.q,
-            "total": self.total,
-            "class_count": self.class_count,
-            "fiber_histogram": {str(k): v for k, v in sorted(self.fiber_histogram.items())},
-            "max_fiber": self.max_fiber,
-            "bound_ok": self.bound_ok,
-            "witness_samples": self.witness_samples,
-        }
+        """Every field but ``classes``, in field order, histogram keys as strings."""
+        fields = {k: v for k, v in vars(self).items() if k != "classes"}
+        hist = {str(k): v for k, v in sorted(self.fiber_histogram.items())}
+        return {**fields, "fiber_histogram": hist}
 
 
 def enumerate_census_polys(p: int, m: int, q: int):
     """Monic separable additive tuples (a_0 != 0, a_1..a_(m-1)) over F_q."""
     F = _field_of_order(p, q)
-    for n in range(q**m):
-        digits = []
-        t = n
-        for _ in range(m):
-            digits.append(t % q)
-            t //= q
-        if digits[0] == 0:  # separability: a_0 != 0
-            continue
-        coeffs = [F.element_from_index(d) for d in digits] + [F.one()]
-        yield AdditivePoly(F, coeffs)
+    elems = list(F.elements())
+    # a_0 varies fastest; a_0 != 0 is separability
+    for digits in product(*[elems] * (m - 1), elems[1:]):
+        yield AdditivePoly(F, [*reversed(digits), F.one()])
 
 
 def _field_of_order(p: int, q: int) -> FiniteField:
-    k = 0
-    t = q
-    while t > 1:
-        if t % p:
-            raise DegreeMismatch(f"{q} is not a power of {p}")
-        t //= p
+    k = 1
+    while GF(p).order ** k < q:  # GF(p) refuses a p that is not prime
         k += 1
-    return GF(p, max(k, 1))
+    if p**k != q:
+        raise DegreeMismatch(f"{q} is not a power of {p}")
+    return GF(p, k)
+
+
+def closed_form_histogram(p: int, m: int, q: int) -> dict[int, int]:
+    """{h_S/s_S: number of classes of that size}, summed over the supports S
+    (module docstring): the (q-1)^(|S|+1) maps of support S make
+    (q-1)^(|S|+1) s_S/h_S classes."""
+    N = p**m - 1
+    hist: dict[int, int] = {}
+    for S in chain.from_iterable(combinations(range(1, m), r) for r in range(m)):
+        size = gcd(N, *((p**i - 1) * (q - 1) for i in S)) // gcd(N, *(p**i - 1 for i in S))
+        hist[size] = hist.get(size, 0) + (q - 1) ** (len(S) + 1) // size
+    return hist
 
 
 def census(p: int, m: int, q: int, budget: int | None = None,
            keep_witnesses: int = 3) -> CensusReport:
-    """Partition the enumerated monic additive separable family by conjugacy.
+    """Partition the monic separable additive maps over F_q by conjugacy.
 
-    The z-coefficient is the multiplier at the fixed point 0 and is equal
-    across all monic additive members of a class, so it prefilters the
-    pairwise tests.  Fibers of the coefficient parametrization are class
-    sizes; each is checked against the (p^m - 1) * |Fix| bound, |Fix| = p^dim.
+    The class of a map of support S is its orbit under a_i -> a_i t^(1 - p^i),
+    t a generator of mu_h (module docstring).  Each class is walked once,
+    inside F_q, from its least unclassified map in enumeration order, and
+    every map the walk visits must be new.  The walk measures the class
+    sizes without assuming h/s: their histogram must equal the closed form
+    class_count(p, m, q) = sum over S of (q-1)^(|S|+1) s_S/h_S, and each
+    size must meet the (p^m - 1) * |Fix| bound.  ``witness_samples`` are the
+    first ``keep_witnesses`` pairs (least member, member), classes in order
+    of their z-coefficient, each found and re-verified by ``are_conjugate``.
     """
+    if m < 1:
+        raise BadParameter(f"census needs m >= 1, not {m}")
     if budget is None:
         budget = enumeration_budget()
     total = (q - 1) * q ** (m - 1)
@@ -334,70 +344,56 @@ def census(p: int, m: int, q: int, budget: int | None = None,
         raise BudgetExceeded(f"census size {total} exceeds budget {budget}")
     polys = list(enumerate_census_polys(p, m, q))
     _certify(len(polys) == total, f"enumerated {len(polys)} maps, expected {total}")
-    # group by the invariant z-coefficient first
-    groups: dict[tuple, list[int]] = {}
-    for i, g in enumerate(polys):
-        groups.setdefault(g.coeffs[0].coords, []).append(i)
-    parent = list(range(total))
+    F, N = polys[0].field, p**m - 1
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def key(coeffs):
+        return tuple(c.coords for c in coeffs)
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            # canonical minimal representative wins, independent of order
-            lo, hi = min(ri, rj), max(ri, rj)
-            parent[hi] = lo
-
+    index = {key(g.coeffs): i for i, g in enumerate(polys)}
+    classified, classes = [False] * total, []
+    steps: dict[tuple, list[FieldElement]] = {}
+    in_fq: dict[FieldElement, FieldElement] = {}  # F_q inside E, built on first use
+    for start, g in enumerate(polys):
+        if classified[start]:
+            continue
+        S = tuple(i for i in range(1, m) if g.coeffs[i])
+        if S not in steps:
+            steps[S] = step = [F.one()] * (m + 1)
+            if S:
+                if not in_fq:
+                    units = GF(p, m)
+                    zeta = next(x for x in units.elements() if x and x.multiplicative_order() == N)
+                    E = common_overfield(F, units)
+                    in_fq.update((embed(x, E), x) for x in F.elements())
+                t = zeta ** (N // gcd(N, *((p**i - 1) * (q - 1) for i in S)))
+                for i in S:
+                    step[i] = in_fq.get(embed(t ** ((1 - p**i) % N), E))
+                    _certify(step[i] is not None, "orbit step leaves F_q")
+        members, j, coeffs = [], start, g.coeffs
+        while j != start or not members:
+            _certify(not classified[j], "scaling orbits overlap")
+            classified[j] = True
+            members.append(j)
+            coeffs = [a * s for a, s in zip(coeffs, steps[S])]
+            j = index[key(coeffs)]
+        classes.append(members)
+    hist = dict(Counter(len(c) for c in classes))
+    _certify(hist == closed_form_histogram(p, m, q), "class sizes differ from the closed form")
+    bound_ok = all(len(c) <= N * len(root_space(_fixed_point_core(polys[c[0]]), 1))
+                   for c in classes)
+    pairs = ((c[0], j) for c in sorted(classes, key=lambda c: polys[c[0]].coeffs[0].coords)
+             for j in sorted(c[1:]))
     witness_samples = []
-    for key in sorted(groups):
-        idxs = groups[key]
-        for ii, i in enumerate(idxs):
-            for j in idxs[ii + 1:]:
-                if find(i) == find(j):
-                    continue
-                w = are_conjugate(polys[i], polys[j])
-                if w is None:
-                    continue
-                union(i, j)
-                if len(witness_samples) < keep_witnesses:
-                    gamma, delta = w.affine_parts()
-                    witness_samples.append(
-                        {
-                            "first": [list(c.coords) for c in polys[i].coeffs],
-                            "second": [list(c.coords) for c in polys[j].coeffs],
-                            "gamma": list(gamma.coords),
-                            "delta": list(delta.coords),
-                        }
-                    )
-    classes: dict[int, list[int]] = {}
-    for i in range(total):
-        classes.setdefault(find(i), []).append(i)
-    hist: dict[int, int] = {}
-    bound_ok = True
-    for root, members in classes.items():
-        size = len(members)
-        hist[size] = hist.get(size, 0) + 1
-        bound = (p**m - 1) * len(root_space(_fixed_point_core(polys[root]), 1))
-        if size > bound:
-            bound_ok = False
-    max_fiber = max(hist) if hist else 0
+    for i, j in islice(pairs, keep_witnesses):
+        w = are_conjugate(polys[i], polys[j])
+        _certify(w is not None, "members of one orbit are not conjugate")
+        gamma, delta = w.affine_parts()
+        witness_samples.append({"first": [list(c.coords) for c in polys[i].coeffs],
+                                "second": [list(c.coords) for c in polys[j].coeffs],
+                                "gamma": list(gamma.coords), "delta": list(delta.coords)})
     return CensusReport(
-        p=p,
-        m=m,
-        q=q,
-        total=total,
-        class_count=len(classes),
-        fiber_histogram=hist,
-        max_fiber=max_fiber,
-        bound_ok=bound_ok,
-        classes=[
-            sorted(tuple(c.coords for c in polys[i].coeffs) for i in members)
-            for members in classes.values()
-        ],
+        p=p, m=m, q=q, total=total, class_count=len(classes), fiber_histogram=hist,
+        max_fiber=max(hist), bound_ok=bound_ok,
+        classes=[sorted(key(polys[i].coeffs) for i in c) for c in classes],
         witness_samples=witness_samples,
     )

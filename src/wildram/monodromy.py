@@ -176,7 +176,7 @@ class MonodromyLevel:
 
     @property
     def order(self) -> int:
-        return len(self.space)
+        return self.space.field.p ** self.space.dimension
 
     def abelian_invariants(self) -> tuple[int, ...]:
         """Invariant factors, all p: p*b = 0 on a basis of rank dim Z_n."""
@@ -380,7 +380,7 @@ def lift_obstruction(f: AdditivePoly, budget: int | None = None) -> LiftObstruct
         ell=ell,
         n=n,
         level_order=level.order,
-        level_points=len(level.space),
+        level_points=p ** level.space.dimension,
         level_free=level.action.is_free(),
         level_transitive=level.action.is_transitive(),
         invariants=level.abelian_invariants(),

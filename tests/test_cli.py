@@ -348,16 +348,28 @@ EXIT_CODE_TABLE = [
     (["census", "--p", "2", "--m", "1", "--q", "2", "--seed", "1"], 2),
     (["census", "--p", "2", "--m", "2", "--q", "4", "--json", "--jobs", "2"], 2),
     (["census", "--p", "5", "--m", "2", "--q", "5", "--json", "--jobs", "2"], 2),
+    (["census", "--p", "2", "--m", "0", "--q", "2"], 2),
+    (["census", "--p", "2", "--m", "1", "--q", "1"], 2),  # q = 1 is no field
+    (["census", "--p", "1", "--m", "1", "--q", "2"], 2),
+    (["WILDRAM_BUDGET=abc", "census", "--p", "3", "--m", "1", "--q", "9"], 2),
+    (["WILDRAM_BUDGET=0", "census", "--p", "3", "--m", "1", "--q", "9"], 2),
+    (["WILDRAM_BUDGET=-5", "census", "--p", "3", "--m", "1", "--q", "9"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv,code", EXIT_CODE_TABLE, ids=[" ".join(a) for a, _ in EXIT_CODE_TABLE])
 def test_exit_code_table(capsys, monkeypatch, argv, code):
+    # a leading NAME=value item sets that environment variable, as in a shell
     monkeypatch.delenv("WILDRAM_BUDGET", raising=False)
+    env = [a.split("=", 1) for a in argv if "=" in a and not a.startswith("-")]
+    for name, value in env:
+        monkeypatch.setenv(name, value)
     t0 = time.perf_counter()
-    assert main(argv) == code
+    assert main(argv[len(env):]) == code
     assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    for name, value in env:  # the message names the variable and its bad value
+        assert f"{name}={value!r}" in err
     if code == 3:
         assert "(p-1)^4" in err and "65536" in err and "WILDRAM_BUDGET" in err

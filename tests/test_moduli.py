@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -7,16 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from wildram.addpoly import AdditivePoly, recognize_additive
+from wildram.addpoly import AdditivePoly, recognize_additive, root_space
 from wildram.domains import FiniteFieldDomain
 from wildram.dynsys import Pgl2, conjugate
 from wildram.errors import DegreeMismatch, Inseparable, NotAdditiveShape
 from wildram.ff import GF, FqPoly, common_overfield, embed
 from wildram.moduli import (
+    CensusReport,
     _affine_conjugate_additive,
     _as_rational_map,
+    _fixed_point_core,
     are_conjugate,
     census,
+    closed_form_histogram,
     conjugating_set,
     enumerate_census_polys,
     fix_points,
@@ -418,3 +422,139 @@ def test_witness_check_runs_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "witness verification failed" in proc.stdout
+
+
+def pairwise_census_oracle(p, m, q, keep_witnesses=3):
+    """Census by pairwise conjugacy tests: union-find over every pair with
+    the same z-coefficient, the least index of a class as its root."""
+    polys = list(enumerate_census_polys(p, m, q))
+    total = len(polys)
+    groups = {}
+    for i, g in enumerate(polys):
+        groups.setdefault(g.coeffs[0].coords, []).append(i)
+    parent = list(range(total))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    witness_samples = []
+    for key in sorted(groups):
+        idxs = groups[key]
+        for ii, i in enumerate(idxs):
+            for j in idxs[ii + 1:]:
+                ri, rj = find(i), find(j)
+                if ri == rj:
+                    continue
+                w = are_conjugate(polys[i], polys[j])
+                if w is None:
+                    continue
+                parent[max(ri, rj)] = min(ri, rj)
+                if len(witness_samples) < keep_witnesses:
+                    gamma, delta = w.affine_parts()
+                    witness_samples.append({
+                        "first": [list(c.coords) for c in polys[i].coeffs],
+                        "second": [list(c.coords) for c in polys[j].coeffs],
+                        "gamma": list(gamma.coords),
+                        "delta": list(delta.coords),
+                    })
+    classes = {}
+    for i in range(total):
+        classes.setdefault(find(i), []).append(i)
+    hist = {}
+    bound_ok = True
+    for root, members in classes.items():
+        hist[len(members)] = hist.get(len(members), 0) + 1
+        bound = (p**m - 1) * len(root_space(_fixed_point_core(polys[root]), 1))
+        bound_ok = bound_ok and len(members) <= bound
+    return CensusReport(
+        p=p, m=m, q=q, total=total, class_count=len(classes), fiber_histogram=hist,
+        max_fiber=max(hist), bound_ok=bound_ok,
+        classes=[sorted(tuple(c.coords for c in polys[i].coeffs) for i in members)
+                 for members in classes.values()],
+        witness_samples=witness_samples,
+    )
+
+
+ORACLE_FAMILIES = [(2, 1, 2), (2, 1, 4), (3, 1, 3), (3, 1, 9), (2, 1, 16), (3, 1, 27),
+                   (5, 1, 25), (7, 1, 49), (2, 2, 4), (2, 2, 8), (2, 3, 2), (2, 3, 4),
+                   (3, 2, 3), (5, 2, 5)]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+def test_census_matches_pairwise_oracle(family):
+    got, want = census(*family), pairwise_census_oracle(*family)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got.classes == want.classes
+
+
+@pytest.mark.parametrize("family,classes", [((2, 3, 8), 70), ((2, 2, 32), 992), ((3, 2, 27), 364),
+                                            ((2, 4, 4), 72), ((5, 2, 25), 120)], ids=str)
+def test_census_equals_closed_form(family, classes):
+    rep = census(*family)
+    assert rep.class_count == sum(closed_form_histogram(*family).values()) == classes
+    assert rep.fiber_histogram == closed_form_histogram(*family)
+    assert sum(size * n for size, n in rep.fiber_histogram.items()) == rep.total
+    assert rep.bound_ok
+
+
+@pytest.mark.parametrize("p,m,js,low,high", [(2, 2, 8, 0.33, 1.0), (3, 2, 4, 0.25, 0.5),
+                                             (2, 3, 8, 0.13, 1.0)])
+def test_class_count_grows_like_q_to_the_m(p, m, js, low, high):
+    # the classes meeting the family are m-dimensional: class_count / q^m
+    # stays between constants as q = p^j grows, inside the proven bounds
+    # 1 / (2^m (p^m - 1)) and 1
+    for j in range(1, js + 1):
+        q = p**j
+        ratio = sum(closed_form_histogram(p, m, q).values()) / q**m
+        assert 1 / (2**m * (p**m - 1)) <= low <= ratio <= high <= 1, (q, ratio)
+
+
+def test_census_certificates_run_under_python_O():
+    # a corrupted closed form or orbit step must be caught when asserts are off
+    child = textwrap.dedent(
+        """
+        from wildram import moduli
+        from wildram.errors import CertificateFailed
+        from wildram.ff import FieldElement
+
+        assert False, "asserts are on"
+
+        def expect_failure(family):
+            try:
+                moduli.census(*family)
+            except CertificateFailed as exc:
+                print("CertificateFailed:", exc)
+            else:
+                print("passed", family)
+
+        closed_form = moduli.closed_form_histogram
+        moduli.closed_form_histogram = lambda p, m, q: {**closed_form(p, m, q), 1: 0}
+        expect_failure((2, 2, 4))
+        moduli.closed_form_histogram = closed_form
+
+        # zeta = 1: every step is 1 and every class a singleton
+        order = FieldElement.multiplicative_order
+        FieldElement.multiplicative_order = lambda x: (x.field.order - 1) * (x == x.field.one())
+        expect_failure((2, 2, 4))
+        FieldElement.multiplicative_order = order
+
+        # the step a_1 -> -a_1 of census(3, 2, 3) read back as 0
+        embed = moduli.embed
+        moduli.embed = lambda x, E: E.zero() if x.field.k == 2 else embed(x, E)
+        expect_failure((3, 2, 3))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "CertificateFailed: class sizes differ from the closed form",
+        "CertificateFailed: class sizes differ from the closed form",
+        "CertificateFailed: scaling orbits overlap",
+    ]

@@ -49,6 +49,14 @@ def test_monodromy_level_examples():
     assert lvl.abelian_invariants() == (3, 3)
 
 
+def test_level_order_past_the_int64_range():
+    # |Z_64| = 2^64 is an int, but len() cannot return it
+    lvl = monodromy_level(AdditivePoly(GF(2), [1, 1]), 64, budget=2**70)
+    assert lvl.order == 2**64
+    with pytest.raises(BadParameter):
+        len(lvl.space)
+
+
 def test_monodromy_level_inseparable():
     F3 = GF(3)
     with pytest.raises(Inseparable):
