@@ -310,9 +310,11 @@ def _field_of_order(p: int, q: int) -> FiniteField:
 
 
 def closed_form_histogram(p: int, m: int, q: int) -> dict[int, int]:
-    """{h_S/s_S: number of classes of that size}, summed over the supports S
-    (module docstring): the (q-1)^(|S|+1) maps of support S make
-    (q-1)^(|S|+1) s_S/h_S classes."""
+    """Census class sizes in closed form: {h_S/s_S: number of such classes}.
+
+    The (q-1)^(|S|+1) maps of support S make (q-1)^(|S|+1) s_S/h_S classes
+    (module docstring); the counts are summed over the supports S.
+    """
     N = p**m - 1
     hist: dict[int, int] = {}
     for S in chain.from_iterable(combinations(range(1, m), r) for r in range(m)):
