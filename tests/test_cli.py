@@ -252,11 +252,13 @@ def test_numpy_loads_only_where_matrices_are_solved(tmp_path):
         ["lift", "--p", "3", "--a", "2", "--reduce", "--sbar", "0,1", "--sbar-degree", "2", "--json"],
         ["pco", "--map", cubic, "--json"],
         ["normal-form", "--map", prime, "--json"],
+        ["census", "--p", "3", "--m", "1", "--q", "9", "--json"],
     ):
         assert run(*argv) == [False, 0, False], argv
-    # the census solves root-space kernels, and products above degree 24 run
-    # on numpy: numpy is loaded there
-    assert run("census", "--p", "3", "--m", "1", "--q", "9", "--json") == [False, 0, True]
+    # a census with witness samples finds the splitting degree of a
+    # fixed-point core, and products above degree 24 run on numpy: numpy is
+    # loaded there
+    assert run("census", "--p", "2", "--m", "2", "--q", "4", "--json") == [False, 0, True]
     big = ["lift", "--p", "3", "--a", "1", "--reduce", "--sbar", "1", "--sbar-degree", "25", "--json"]
     assert run(*big) == [False, 0, True]
 
@@ -327,7 +329,7 @@ def test_malformed_rational_map_file_exits_2(capsys, tmp_path, text):
 def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):
     from wildram import moduli
 
-    monkeypatch.setattr(moduli, "conjugate", lambda f, phi: phi.as_map())
+    monkeypatch.setattr(moduli, "add_compose", lambda f, g: f)
     f1 = write_additive_json(tmp_path, "f1.json", 3, 1, [[2], [1]])
     code = main(["conjugate", "--first", f1, "--second", f1])
     err = capsys.readouterr().err

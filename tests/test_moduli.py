@@ -8,16 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from wildram import dynsys
 from wildram.addpoly import AdditivePoly, recognize_additive, root_space
 from wildram.domains import FiniteFieldDomain
-from wildram.dynsys import Pgl2, conjugate
+from wildram.dynsys import Pgl2, RationalMap, conjugate
 from wildram.errors import DegreeMismatch, Inseparable, NotAdditiveShape
 from wildram.ff import GF, FqPoly, common_overfield, embed
 from wildram.moduli import (
     CensusReport,
     _affine_conjugate_additive,
-    _as_rational_map,
     _fixed_point_core,
+    _witness_carries,
     are_conjugate,
     census,
     closed_form_histogram,
@@ -30,13 +31,22 @@ from wildram.moduli import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def as_rational_map(coeffs, const, F) -> RationalMap:
+    """The dense map const + sum coeffs[i] z^(p^i) of degree p^m over F:
+    the generic route that checks additive-ring results here."""
+    p = F.p
+    dense = [F.zero()] * (p ** (len(coeffs) - 1) + 1)
+    dense[0] = const
+    for i, a in enumerate(coeffs):
+        dense[p**i] = dense[p**i] + a
+    return RationalMap(FiniteFieldDomain(F), dense)
+
+
 def brute_affine_monicizers(g: FqPoly, E):
     """Oracle: all (b, c) in E^2, b != 0, with (bz+c) o g o (bz+c)^(-1) monic additive."""
     dom = FiniteFieldDomain(E)
     ge = g.map_into(E)
-    fmap = __import__("wildram.dynsys", fromlist=["RationalMap"]).RationalMap(
-        dom, list(ge.coeffs)
-    )
+    fmap = RationalMap(dom, list(ge.coeffs))
     out = []
     for nb in range(E.order):
         b = E.element_from_index(nb)
@@ -149,7 +159,7 @@ def test_conjugating_set_completeness_spot_check():
     E = cs.field
     dom = FiniteFieldDomain(E)
     inset = {phi.affine_parts() for phi in cs.maps}
-    fmap = _as_rational_map([embed(c, E) for c in g.coeffs], E.zero(), E)
+    fmap = as_rational_map([embed(c, E) for c in g.coeffs], E.zero(), E)
     tried = 0
     for nb in range(E.order):
         b = E.element_from_index(nb)
@@ -274,8 +284,6 @@ def test_census_bruteforce_oracle_f4():
 
 def brute_conjugate_search(g: FqPoly, h: FqPoly, E) -> bool:
     dom = FiniteFieldDomain(E)
-    from wildram.dynsys import RationalMap
-
     gm = RationalMap(dom, list(g.coeffs))
     hm = RationalMap(dom, list(h.coeffs))
     for nb in range(E.order):
@@ -395,7 +403,7 @@ def test_census_2_3_4():
 
 
 def test_witness_check_runs_under_python_O():
-    # a wrong generic conjugation must still be caught when asserts are off
+    # a wrong additive composition must still be caught when asserts are off
     child = textwrap.dedent(
         """
         import sys
@@ -405,7 +413,7 @@ def test_witness_check_runs_under_python_O():
         from wildram.ff import GF
 
         assert False, "asserts are on"
-        moduli.conjugate = lambda f, phi: phi.as_map()
+        moduli.add_compose = lambda f, g: f
         g = AdditivePoly(GF(3), [1, 1])
         try:
             moduli.are_conjugate(g, g)
@@ -422,6 +430,66 @@ def test_witness_check_runs_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "witness verification failed" in proc.stdout
+
+
+def dense_carries(a, c1, b, c2, gamma, delta):
+    """The oracle: conjugate the dense map of (a, c1) by gamma z + delta."""
+    E = gamma.field
+    phi = Pgl2.affine(FiniteFieldDomain(E), gamma, delta)
+    return conjugate(as_rational_map(a, c1, E), phi) == as_rational_map(b, c2, E)
+
+
+# (p, m, k): every p^m <= 2^6, coefficients in GF(p, k)
+WITNESS_GRID = [(2, m, 2) for m in range(1, 7)] + [(2, 3, 3), (3, 1, 1), (3, 2, 2), (3, 3, 1),
+                                                   (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 2, 1)]
+
+
+@pytest.mark.parametrize("p, m, k", WITNESS_GRID)
+def test_additive_witness_check_matches_dense_conjugation(p, m, k):
+    # the true witness and its mutants (wrong gamma, wrong delta, wrong
+    # constant on either side, one coefficient dropped) get the dense
+    # route's verdict; a wrong gamma or delta may still conjugate (a
+    # stabilizer element, a fixed point), the other mutants never do
+    F = GF(p, k)
+    rng = random.Random(f"witness:{p}:{m}:{k}")
+    units = [x for x in F.elements() if x]
+    rejected = 0
+    for _ in range(3):
+        a = [rng.choice(units)] + [F.element_from_index(rng.randrange(F.order)) for _ in range(m)]
+        a[-1] = rng.choice(units)
+        c1 = F.element_from_index(rng.randrange(F.order))
+        gamma, delta = rng.choice(units), F.element_from_index(rng.randrange(F.order))
+        b, c2 = _affine_conjugate_additive(a, c1, gamma, delta)
+        dropped = rng.choice([i for i, x in enumerate(b) if x])
+        cases = [(a, c1, b, c2, gamma, delta),
+                 (a, c1, b, c2, rng.choice([u for u in units if u != gamma]), delta),
+                 (a, c1, b, c2, gamma, delta + rng.choice(units)),
+                 (a, c1, b, c2 + 1, gamma, delta),
+                 (a, c1 + 1, b, c2, gamma, delta),
+                 (a, c1, [F.zero() if i == dropped else x for i, x in enumerate(b)], c2, gamma, delta)]
+        verdicts = [_witness_carries(*case) for case in cases]
+        assert verdicts == [dense_carries(*case) for case in cases]
+        assert verdicts[0] and not any(verdicts[3:])
+        rejected += verdicts[1:3].count(False)
+    assert rejected
+
+
+def test_moduli_never_conjugates_dense_maps(monkeypatch):
+    def boom(*args):
+        raise AssertionError("dense conjugation reached")
+
+    monkeypatch.setattr(dynsys, "conjugate", boom)
+    monkeypatch.setattr(RationalMap, "compose", boom)
+    F4 = GF(2, 2)
+    g = AdditivePoly(F4, [F4.gen(), 0, 1])
+    gamma = F4.gen()
+    h = AdditivePoly(F4, _affine_conjugate_additive(list(g.coeffs), F4.zero(), gamma, F4.zero())[0])
+    assert are_conjugate(g, h) is not None
+    assert are_conjugate(g, AdditivePoly(F4, [1, 0, 1])) is None
+    nf = to_monic_additive(FqPoly(GF(3), [1, 1, 0, 2]))  # 2z^3 + z + 1
+    assert nf.poly.coeffs[-1] == nf.field.one()
+    rep = census(2, 2, 4, keep_witnesses=6)
+    assert rep.bound_ok and len(rep.witness_samples) == 6
 
 
 def pairwise_census_oracle(p, m, q, keep_witnesses=3):
