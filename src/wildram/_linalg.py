@@ -69,34 +69,6 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs over F_p, or None when inconsistent."""
-    import numpy as np
-
-    a = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = rref(np.hstack([a, b]), p)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r, cols]
-    return x
-
-
-def inverse(mat: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse matrix mod p, or None if singular."""
-    import numpy as np
-
-    a = np.array(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    aug, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if pivots != list(range(n)):
-        return None
-    return aug[:, n:]
-
-
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for entries in [0, p); b may be a vector."""
     import numpy as np

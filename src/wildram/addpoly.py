@@ -26,6 +26,7 @@ from .ff import (
     FqPoly,
     embed,
     enumeration_budget,
+    field_from_json,
 )
 
 if TYPE_CHECKING:
@@ -308,18 +309,7 @@ def _span(basis: np.ndarray, p: int) -> np.ndarray:
     return (coeffs @ basis) % p
 
 
-def additive_to_json(f: AdditivePoly) -> dict:
-    from .ff import field_to_json
-
-    return {
-        "field": field_to_json(f.field),
-        "a": [list(c.coords) for c in f.coeffs],
-    }
-
-
 def additive_from_json(d: dict) -> AdditivePoly:
-    from .ff import field_from_json
-
     F = field_from_json(d["field"])
     return AdditivePoly(F, [F.element(c) for c in d["a"]])
 

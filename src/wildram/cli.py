@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .addpoly import AdditivePoly, recognize_additive
+from .addpoly import AdditivePoly, additive_from_json, recognize_additive
 from .cyclotomic import verify_cyclotomic_identities
 from .domains import coeff_from_json, domain_from_json
 from .dynsys import RationalMap, post_critical_orbit
@@ -82,9 +82,9 @@ def _load_map(path: str) -> RationalMap:
 
 def _load_additive(path: str) -> AdditivePoly:
     with _map_file(path) as data:
-        F = field_from_json(data["field"])
         if "a" in data:
-            return AdditivePoly(F, [F.element(c) for c in data["a"]])
+            return additive_from_json(data)
+        F = field_from_json(data["field"])
         poly = FqPoly(F, [F.element(c) for c in data["coeffs"]])
     add = recognize_additive(poly)
     if add is None:
@@ -289,12 +289,16 @@ def _orbit_worker(task):
 
 
 def cmd_orbit(args) -> int:
+    if args.jobs < 1:
+        raise BadInput(f"--jobs must be >= 1, got {args.jobs}")
     avals = sorted(set(_int_list("--a", args.a)))
     tasks = [(args.p, a, args.max_steps) for a in avals]
-    if args.jobs > 1 and len(tasks) > 1:
+    # never more workers than tasks: a fork-started pool forks them all up front
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_orbit_worker, tasks))
     else:
         results = dict(_orbit_worker(t) for t in tasks)

@@ -84,9 +84,6 @@ class FiniteFieldDomain:
         roots = _ff.roots_in(f, K)
         return dom, (lambda x: embed(x, K)), roots
 
-    def transfer_into(self, other: "FiniteFieldDomain"):
-        return lambda x: embed(x, other.field)
-
     def to_json(self):
         return {"kind": self.kind, **_ff.field_to_json(self.field)}
 

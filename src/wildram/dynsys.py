@@ -91,10 +91,6 @@ class RationalMap:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMap is immutable")
 
-    @classmethod
-    def from_poly(cls, domain, coeffs) -> "RationalMap":
-        return cls(domain, coeffs)
-
     @property
     def degree(self) -> int:
         return max(len(self.num), len(self.den)) - 1
@@ -124,9 +120,6 @@ class RationalMap:
             _poly.mul(_poly.deriv(num), den), _poly.mul(num, _poly.deriv(den))
         )
         return w, _poly.mul(den, den)
-
-    def has_zero_derivative(self) -> bool:
-        return not self.derivative_pair()[0]
 
     def evaluate(self, pt: ProjPoint) -> ProjPoint:
         d = self.domain
@@ -395,12 +388,6 @@ class MappingScheme:
     def was_truncated(self) -> bool:
         return bool(self.truncated)
 
-    def out_weight(self, i: int) -> int:
-        for s, t, w in self.edges:
-            if s == i:
-                return w
-        raise KeyError(i)
-
     def vertex_label(self, i: int) -> str:
         pt = self.vertices[i]
         return "oo" if pt.is_infinity else self.domain.fmt(pt.value)
@@ -555,8 +542,3 @@ def fixed_point_data(f: RationalMap):
     if f.evaluate(ProjPoint.infinity()).is_infinity:
         pts.append(ProjPoint.infinity())
     return fL, pts
-
-
-def fixed_points(f: RationalMap) -> list[ProjPoint]:
-    """Fixed points of f over a splitting extension, plus oo when fixed."""
-    return fixed_point_data(f)[1]

@@ -18,12 +18,13 @@ is exact and deterministic:
   through already-known smaller embeddings so that chains compose
   consistently within a session.
 
-Element arithmetic runs on plain Python ints: Frobenius powers in every
-field, products and inverses up to degree _NUMPY_MUL_DEGREE.  numpy int64
-arrays mod p are used only where F_p matrices are built or solved: the
-Frobenius, product and embedding matrices, subfield detection for large
-targets, and products and inverses in fields of larger degree.  numpy is imported
-there, on first use, so a query that solves no matrix never loads it.
+Element arithmetic runs on plain Python ints: Frobenius powers and
+inverses (extended Euclid) in every field, products up to degree
+_NUMPY_MUL_DEGREE.  numpy int64 arrays mod p are used only where F_p
+matrices are built or solved: the Frobenius, product and embedding
+matrices, subfield detection for large targets, and products in fields of
+larger degree.  numpy is imported there, on first use, so a query that
+solves no matrix never loads it.
 The int64 sums stay exact while k * (p-1)^2 < 2^63, which FiniteField
 enforces.
 """
@@ -56,8 +57,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 16
 
-# Above this extension degree, element products and inverses go through
-# numpy.
+# Above this extension degree, element products go through numpy; inverses
+# stay on extended Euclid, which is faster at every degree.
 _NUMPY_MUL_DEGREE = 24
 # Root finding scans K when |K| <= _SCAN_RATIO * (deg - 1) * bit_length(|K|).
 # A scan costs about |K| * deg products in K; Cantor-Zassenhaus about
@@ -464,10 +465,6 @@ class FiniteField:
             raise ZeroDivisionError("inversion of zero field element")
         if k == 1:
             return (pow(a[0], -1, p),)
-        if k > _NUMPY_MUL_DEGREE:
-            mat = self.mult_matrix(FieldElement(self, tuple(a)))
-            sol = _linalg.solve(mat, (1,) + (0,) * (k - 1), p)
-            return tuple(int(v) for v in sol)
         # extended Euclid in F_p[x]: maintain t_i with t_i * a = r_i (mod modulus)
         r0, r1 = self.modulus, _fp_trim(list(a))
         t0, t1 = (), (1,)

@@ -1,11 +1,11 @@
 """The characteristic-zero lift of z^p - cz and its dynamical behavior.
 
 The lift is f(z) = ((lambda z + s)^p - s^p)/lambda^p with lambda = zeta_p - 1,
-built either over the specialized ring Q(zeta_p)[s]/(s^(p-1) - a) or with s
-a free symbol.  Expanding the binomial gives the z^(p-i) coefficient
-binom(p, i) s^i / lambda^i, whose cyclotomic part has lambda-valuation
-p - 1 - i: every middle coefficient dies mod p and the reduction is
-z^p - cz with c = sbar^(p-1).
+built over the specialized ring Q(zeta_p)[s]/(s^(p-1) - a); only the PCF
+locus treats s as a free symbol.  Expanding the binomial gives the z^(p-i)
+coefficient binom(p, i) s^i / lambda^i, whose cyclotomic part has
+lambda-valuation p - 1 - i: every middle coefficient dies mod p and the
+reduction is z^p - cz with c = sbar^(p-1).
 
 The finite critical point -s/lambda escapes for generic parameters: once
 v(lambda z) < v(s), the (lambda z)^p term dominates (lambda z + s)^p - s^p
@@ -26,8 +26,6 @@ from .cyclotomic import (
     SRing,
     SRingElement,
     check_cyclotomic_budget,
-    lambda_val,
-    residue,
 )
 from .domains import _rational_roots
 from .errors import BadParameter, BudgetExceeded, NegativeValuation, _certify
@@ -57,10 +55,6 @@ class RPoly:
     @classmethod
     def x(cls, ring):
         return cls(ring, [ring.zero(), ring.one()])
-
-    @classmethod
-    def const(cls, ring, c):
-        return cls(ring, [c])
 
     @property
     def degree(self) -> int:
@@ -133,19 +127,6 @@ class CycloRing:
         return CyclotomicNumber.from_rational(self.p, c)
 
 
-class _PolyCoeffRing:
-    """RPoly-over-`inner` as a coefficient ring (for bivariate expansion)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def zero(self):
-        return RPoly(self.inner, [])
-
-    def one(self):
-        return RPoly(self.inner, [self.inner.one()])
-
-
 # ---------------------------------------------------------------------------
 # The lift itself
 # ---------------------------------------------------------------------------
@@ -154,54 +135,35 @@ class _PolyCoeffRing:
 class LiftPoly:
     """((lambda z + s)^p - s^p)/lambda^p as an explicit z-polynomial.
 
-    ``coeffs`` indexes z-powers 0..p.  In specialized mode the entries live
-    in Q(zeta_p)[s]/(s^(p-1) - a); in symbolic mode they are polynomials in
-    a free s over Q(zeta_p) (RPoly over CycloRing).
+    ``coeffs`` indexes z-powers 0..p; the entries live in the specialized
+    ring Q(zeta_p)[s]/(s^(p-1) - a).
     """
 
     p: int
-    mode: str  # "specialized" | "symbolic"
-    a: int | None
-    ring: object
+    a: int
+    ring: SRing
     coeffs: tuple
 
     def coefficient_valuations(self) -> list:
         """Gauss valuations of the z^1..z^p coefficients."""
-        out = []
-        for j in range(1, self.p + 1):
-            c = self.coeffs[j]
-            if self.mode == "specialized":
-                out.append(c.gauss_val())
-            else:
-                out.append(
-                    min((lambda_val(x) for x in c.coeffs if not x.is_zero()), default=inf)
-                )
-        return out
+        return [self.coeffs[j].gauss_val() for j in range(1, self.p + 1)]
 
     def evaluate(self, x: SRingElement) -> SRingElement:
         return _poly.evaluate(self.coeffs, x)
 
     def to_json(self):
-        if self.mode == "specialized":
-            return {
-                "p": self.p,
-                "mode": self.mode,
-                "a": self.a,
-                "z_coeffs": [c.to_json() for c in self.coeffs],
-                "coefficient_valuations": [
-                    None if v == inf else v for v in self.coefficient_valuations()
-                ],
-            }
         return {
             "p": self.p,
-            "mode": self.mode,
-            "z_coeffs": [
-                [x.to_json() for x in c.coeffs] for c in self.coeffs
+            "mode": "specialized",
+            "a": self.a,
+            "z_coeffs": [c.to_json() for c in self.coeffs],
+            "coefficient_valuations": [
+                None if v == inf else v for v in self.coefficient_valuations()
             ],
         }
 
 
-def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly:
+def build_lift(p: int, a: int | None = None) -> LiftPoly:
     """Construct the lift; the closed form is cross-checked by expansion.
 
     Closed form: coefficient of z^(p-i) is binom(p, i) s^i / lambda^i for
@@ -213,53 +175,29 @@ def build_lift(p: int, a: int | None = None, symbolic: bool = False) -> LiftPoly
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
     check_cyclotomic_budget(p)
+    if a is None:
+        raise BadParameter("the lift needs the parameter a")
+    if a == 0 or (a % p == 0 and p != 2):
+        raise BadParameter(f"p must not divide a (got a={a})")
     lam = CyclotomicNumber.lam(p)
-    if symbolic:
-        ring = CycloRing(p)
-        coeffs = [RPoly(ring, [])]  # constant term 0
-        for j in range(1, p + 1):
-            i = p - j
-            unit = ring.scalar(comb(p, i)) / lam**i
-            coeffs.append(RPoly(ring, [ring.zero()] * i + [unit]))
-        # independent check: expand ((lambda z + s)^p - s^p)/lambda^p by
-        # repeated multiplication in Q(zeta_p)[s][z]
-        outer = _PolyCoeffRing(ring)
-        s_poly = RPoly.x(ring)
-        lam_poly = RPoly.const(ring, ring.scalar(lam))
-        zmap = RPoly(outer, [s_poly, lam_poly])  # lambda z + s
-        direct = zmap**p - RPoly(outer, [s_poly**p])
-        inv = RPoly.const(ring, ring.one() / lam**p)
-        direct = RPoly(outer, [c * inv for c in direct.coeffs])
-        _certify(
-            list(direct.coeffs) == coeffs[: direct.degree + 1] and direct.degree == p,
-            "closed form disagrees with the direct expansion",
-        )
-        lift = LiftPoly(p, "symbolic", None, ring, tuple(coeffs))
-    else:
-        if a is None:
-            raise BadParameter("specialized mode needs the parameter a")
-        if a == 0 or (a % p == 0 and p != 2):
-            raise BadParameter(f"p must not divide a (got a={a})")
-        ring = SRing(p, a)
-        s = ring.s()
-        coeffs = [ring.zero()]
-        for j in range(1, p + 1):
-            i = p - j
-            unit = ring.scalar(CyclotomicNumber.from_rational(p, comb(p, i)) / lam**i)
-            coeffs.append(unit * s**i)
-        # independent check: expand by repeated multiplication in the s-ring
-        zpoly = RPoly(ring, [s, ring.scalar(lam)])  # lambda z + s
-        direct = zpoly**p - RPoly(ring, [s**p])
-        direct = direct * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p)
-        _certify(
-            list(direct.coeffs) == _poly.trim(coeffs),
-            "closed form disagrees with the direct expansion",
-        )
-        lift = LiftPoly(p, "specialized", a, ring, tuple(coeffs))
+    ring = SRing(p, a)
+    s = ring.s()
+    coeffs = [ring.zero()]
+    for j in range(1, p + 1):
+        i = p - j
+        unit = ring.scalar(CyclotomicNumber.from_rational(p, comb(p, i)) / lam**i)
+        coeffs.append(unit * s**i)
+    # independent check: expand by repeated multiplication in the s-ring
+    zpoly = RPoly(ring, [s, ring.scalar(lam)])  # lambda z + s
+    direct = zpoly**p - RPoly(ring, [s**p])
+    direct = direct * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p)
+    _certify(
+        list(direct.coeffs) == _poly.trim(coeffs),
+        "closed form disagrees with the direct expansion",
+    )
+    lift = LiftPoly(p, a, ring, tuple(coeffs))
     vals = lift.coefficient_valuations()
-    v_s = 0
-    if not symbolic:
-        v_s = ring.s().gauss_val()  # nonzero only in the literal p = 2 ring
+    v_s = s.gauss_val()  # nonzero only in the literal p = 2 ring
     for j in range(1, p):  # z^j = z^(p-i) with i = p-j in 1..p-1
         i = p - j
         expected = (p - 1 - i) + i * v_s
@@ -277,8 +215,6 @@ def reduce_lift(L: LiftPoly, sbar: FieldElement) -> FqPoly:
     c = sbar^(p-1); middle coefficients vanish because their cyclotomic
     parts have strictly positive lambda-valuation.
     """
-    if L.mode != "specialized":
-        raise BadParameter("reduction needs a specialized lift")
     ring: SRing = L.ring
     K = sbar.field
     try:
@@ -326,8 +262,6 @@ def lift_critical_data(L: LiftPoly) -> LiftCriticalData:
     and the fiber over the critical value is the p-th power ((lambda z + s)/lambda)^p,
     which is the ram_profile [p] statement in closed form.
     """
-    if L.mode != "specialized":
-        raise BadParameter("critical data needs a specialized lift")
     ring: SRing = L.ring
     p = L.p
     lam = CyclotomicNumber.lam(p)
@@ -385,16 +319,18 @@ class OrbitCertificate:
         }
 
 
-def orbit_search(L: LiftPoly, max_steps: int, verify_steps: int = 3) -> OrbitCertificate:
+# Steps past the threshold on which orbit_search re-checks v(f(z)) = p v(z).
+_ESCAPE_VERIFY_STEPS = 3
+
+
+def orbit_search(L: LiftPoly, max_steps: int) -> OrbitCertificate:
     """Iterate the finite critical value exactly and certify its fate.
 
     Once v(z) < min(0, v(s) - 1), the term (lambda z)^p dominates
     (lambda z + s)^p - s^p in the ultrametric, so v(f(z)) = p v(z) exactly
     and the valuation runs to -infinity: the orbit is certified infinite.
-    The recurrence is re-verified on each computed post-threshold step.
+    The recurrence is re-verified on _ESCAPE_VERIFY_STEPS further steps.
     """
-    if L.mode != "specialized":
-        raise BadParameter("orbit search needs a specialized lift")
     if max_steps < 1:
         raise BadParameter("max_steps must be >= 1")
     ring: SRing = L.ring
@@ -410,7 +346,7 @@ def orbit_search(L: LiftPoly, max_steps: int, verify_steps: int = 3) -> OrbitCer
     def certify_escape():
         nonlocal cur
         v = vals[-1]
-        for _ in range(verify_steps):
+        for _ in range(_ESCAPE_VERIFY_STEPS):
             cur = L.evaluate(cur)
             points.append(cur)
             nv = cur.gauss_val()
@@ -484,8 +420,12 @@ class LocusReport:
         }
 
 
-def pcf_locus_poly(p: int, m_idx: int, n_idx: int,
-                   max_total: int = 4, max_p: int = 5) -> tuple[RPoly, LocusReport]:
+# The locus polynomial has s-degree about p^(m+n): m + n and p are capped.
+_LOCUS_MAX_TOTAL = 4
+_LOCUS_MAX_P = 5
+
+
+def pcf_locus_poly(p: int, m_idx: int, n_idx: int) -> tuple[RPoly, LocusReport]:
     """f^m(-s/lambda) - f^(m+n)(-s/lambda) as an exact polynomial in s.
 
     Parameters of post-critically finite lifts are roots of these; the
@@ -495,7 +435,7 @@ def pcf_locus_poly(p: int, m_idx: int, n_idx: int,
         raise BadParameter(f"{p} is not prime")
     if m_idx < 0 or n_idx < 1:
         raise BadParameter("need m >= 0 and n >= 1")
-    if m_idx + n_idx > max_total or p > max_p:
+    if m_idx + n_idx > _LOCUS_MAX_TOTAL or p > _LOCUS_MAX_P:
         raise BudgetExceeded(
             f"symbolic degree p^(m+n) = {p**(m_idx+n_idx)} beyond the budget"
         )
@@ -581,8 +521,6 @@ def scaling_check(p: int) -> bool:
 
 def multiplier_at_zero(L: LiftPoly) -> CyclotomicNumber:
     """(p/lambda^(p-1)) * s^(p-1) = (p/lambda^(p-1)) * a, an exact cyclotomic."""
-    if L.mode != "specialized":
-        raise BadParameter("specialized lifts only")
     c1 = L.coeffs[1]
     _certify(all(c.is_zero() for c in c1.coeffs[1:]), "multiplier should be scalar")
     return c1.coeffs[0]

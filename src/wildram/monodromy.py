@@ -191,12 +191,11 @@ def _level(f: AdditivePoly, zs: RootSpace) -> MonodromyLevel:
     return MonodromyLevel(f, zs.level, zs, action)
 
 
-def monodromy_level(f: AdditivePoly, n: int, budget: int | None = None,
-                    ambient=None) -> MonodromyLevel:
+def monodromy_level(f: AdditivePoly, n: int, budget: int | None = None) -> MonodromyLevel:
     """Build level n with certified transitivity and freeness."""
     if not is_separable(f):
         raise Inseparable("monodromy needs a separable additive polynomial")
-    return _level(f, root_space(f, n, budget=budget, ambient=ambient))
+    return _level(f, root_space(f, n, budget=budget))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,39 @@ def test_orbit_command_grid(capsys):
     validate(payload, "orbit_grid.json")
 
 
+def test_orbit_jobs_capped_at_task_count(capsys, monkeypatch):
+    # a fork-started pool forks every worker at the first submit, so --jobs
+    # above the number of --a values must not reach the executor; the fake
+    # records the pool size and runs the tasks in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    serial = run_cli(capsys, "orbit", "--p", "3", "--a", "1,2", "--max-steps", "8", "--json")
+    for jobs, expected in (("64", [2]), ("2", [2]), ("1", [])):
+        sizes.clear()
+        assert run_cli(capsys, "orbit", "--p", "3", "--a", "1,2", "--max-steps", "8",
+                       "--json", "--jobs", jobs) == serial
+        assert sizes == expected
+    sizes.clear()
+    assert run_cli(capsys, "orbit", "--p", "3", "--a", "1", "--jobs", "64")[0] == 0
+    assert sizes == []  # one task runs in this process
+
+
 def test_locus_command(capsys):
     code, out = run_cli(capsys, "locus", "--p", "3", "--m", "1", "--n", "1", "--json")
     assert code == 0
@@ -342,6 +375,8 @@ def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):
 # a p whose Q(zeta_p) work exceeds the default budget is refused up front (3)
 EXIT_CODE_TABLE = [
     (["orbit", "--p", "3", "--a", "x"], 2),
+    (["orbit", "--p", "3", "--a", "1", "--jobs", "0"], 2),
+    (["orbit", "--p", "3", "--a", "1", "--jobs", "-3"], 2),
     (["lift", "--p", "3", "--a", "1", "--reduce", "--sbar", "x"], 2),
     (["lift", "--p", "3", "--a", "1", "--dot"], 2),  # --dot draws the orbit: needs --orbit
     (["identities", "--p", "100003"], 3),

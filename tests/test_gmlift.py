@@ -3,12 +3,11 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import inf
 from pathlib import Path
 
 import pytest
 
-from wildram.cyclotomic import CyclotomicNumber, lambda_val, residue
+from wildram.cyclotomic import CyclotomicNumber, residue
 from wildram.errors import BadParameter, BadResidueChoice, BudgetExceeded
 from wildram.ff import GF, FqPoly, embed
 from wildram.gmlift import (
@@ -54,18 +53,6 @@ def test_build_lift_p3_exact_coefficients():
     assert lam * lam == CyclotomicNumber.from_rational(3, -3) * zeta
     # middle coefficient valuation p-1-i: i=1 -> 1; z-coefficient: i=2 -> 0
     assert L.coefficient_valuations() == [0, 1, 0]
-
-
-def test_build_lift_symbolic():
-    L = build_lift(3, symbolic=True)
-    # z-coefficient is (3/lambda^2) s^2; its cyclotomic unit has valuation 0
-    lam = CyclotomicNumber.lam(3)
-    c1 = L.coeffs[1]
-    assert c1.degree == 2
-    assert c1.coeff(2) == CyclotomicNumber.from_rational(3, 3) / lam**2
-    assert lambda_val(c1.coeff(2)) == 0
-    for p in (2, 3, 5, 7):
-        build_lift(p, symbolic=True)  # closed form vs expansion, all asserted
 
 
 def test_build_lift_bad_parameters():
