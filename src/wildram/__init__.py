@@ -22,6 +22,7 @@ from .addpoly import (  # noqa: E402,F401
     iterate,
     recognize_additive,
     root_space,
+    solve_affine,
 )
 from .cyclotomic import (  # noqa: F401
     CyclotomicNumber,

@@ -162,6 +162,44 @@ class AdditivePoly:
         raise CertificateFailed(f"z^(q^e) != z modulo L for every e < {p}^{M}")
 
 
+def solve_affine(L: AdditivePoly, r: FieldElement) -> tuple[FieldElement, FiniteField]:
+    """Least solution c of L(c) = r by ``sort_key``, r in L's field, and the
+    field K that holds it: the splitting field of L(z) - r.
+
+    Drop the e vanishing low coefficients, L = L' o z^(p^e) with L'
+    separable.  The roots of A = (w^p - r^(p-1) w) o L' are the z with
+    L'(z) in F_p r, span(ker L', u0) for L'(u0) = r; they generate the same
+    field as the roots c0 + ker L of L(z) - r, since c^(p^e) runs over
+    u0 + ker L'.  So K comes from ``A.splitting_degree`` (gated by
+    p^(M+1-e) <= budget, M the Frobenius degree of L), and c from one rref
+    of [L | r] on K, reduced to 0 at the pivot columns of the kernel's
+    rref basis: those coordinates are free over the coset, and the ones
+    before each pivot are fixed, so it is the lexicographic least.
+    """
+    if L.is_zero():
+        raise BadParameter("L(c) = r needs a nonzero additive L")
+    F = L.field
+    p = F.p
+    e = next(i for i, a in enumerate(L.coeffs) if a)
+    core = AdditivePoly(F, L.coeffs[e:])
+    A = add_compose(AdditivePoly(F, [-(r ** (p - 1)), F.one()]), core) if r else core
+    d = A.splitting_degree()
+    K = F if d == 1 else GF(p, F.k * d)
+    import numpy as np
+
+    op, rK = L.operator_matrix(K), embed(r, K)
+    red, pivots = _linalg.rref(np.column_stack([op, rK.coords]), p)
+    _certify(K.k not in pivots, f"L(z) = r has no solution in {K!r}")
+    x = np.zeros(K.k, dtype=np.int64)
+    x[pivots] = red[: len(pivots), -1]
+    kernel, kernel_pivots = _linalg.rref(_linalg.nullspace(op, p), p)
+    for row, col in zip(kernel, kernel_pivots):
+        x = (x - x[col] * row) % p
+    c = K.element(x)
+    _certify(L.map_into(K).evaluate(c) == rK, "affine solution does not solve L(c) = r")
+    return c, K
+
+
 def recognize_additive(f: FqPoly) -> AdditivePoly | None:
     """Additive form of f when every term sits at an exponent p^i, else None."""
     if f.is_zero():
@@ -287,7 +325,7 @@ def _root_space_cached(f: AdditivePoly, n: int, budget: int, ambient) -> RootSpa
     K = GF(p, F.k * fn.splitting_degree(budget)) if ambient is None else ambient
     kernel = _linalg.nullspace(fn.operator_matrix(K), p)
     if kernel.shape[0] != m * n:
-        raise BudgetExceeded(
+        raise BadParameter(
             f"kernel dimension {kernel.shape[0]} != {m*n}; ambient field too small"
         )
     basis = tuple(K.element(row) for row in _linalg.row_space_basis(kernel, p))

@@ -14,6 +14,10 @@ is exact and deterministic:
   evaluations) with equal-degree splitting driven by a seeded
   deterministic generator (about deg * (deg-1) * log|K| products) and
   takes the cheaper route; both return the same sorted roots;
+* n-th roots (``solve_power``) need no root finding: one exponentiation
+  and, per prime r dividing gcd(n, |K| - 1), Adleman-Manders-Miller
+  root extraction in the Sylow r-subgroup, so their cost grows with
+  log|K| and gcd(n, |K| - 1), not with |K| or n;
 * embeddings between fields are constructed once, cached, and routed
   through already-known smaller embeddings so that chains compose
   consistently within a session.
@@ -36,12 +40,14 @@ import math
 import os
 import random
 from functools import reduce
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from . import _linalg, _poly
 from .errors import (
     BadParameter,
     BudgetExceeded,
+    CertificateFailed,
     DegreeMismatch,
     FieldMismatch,
     NoEmbedding,
@@ -1159,11 +1165,69 @@ def splitting_degree(f: FqPoly) -> int:
     return reduce(math.lcm, profile.keys(), 1)
 
 
+def _non_residue(K: FiniteField, r: int) -> FieldElement:
+    """An element of K^x that is not an r-th power (r a prime dividing
+    |K| - 1), drawn from a seeded generator: about r/(r-1) draws."""
+    N, one = K.order - 1, K.one()
+    rng = random.Random(_stable_seed("non-residue", r, K.key()))
+    while True:
+        x = K.element_from_index(rng.randrange(1, K.order))
+        if x ** (N // r) != one:
+            return x
+
+
+def _log_prime_order(base: FieldElement, x: FieldElement, r: int) -> int:
+    """l < r with base^l = x, base of prime order r: baby-step giant-step."""
+    step = math.isqrt(r - 1) + 1
+    baby, cur = {}, base.field.one()
+    for j in range(step):
+        baby.setdefault(cur.coords, j)
+        cur = cur * base
+    giant = base ** (r - step)  # base^(-step)
+    for i in range(step):
+        if x.coords in baby:
+            return i * step + baby[x.coords]
+        x = x * giant
+    raise CertificateFailed(f"no logarithm to a base of order {r}")
+
+
+def _prime_root(d: FieldElement, r: int, rho: FieldElement) -> FieldElement:
+    """One r-th root of the r-th power d, r prime, rho not an r-th power
+    (Adleman, Manders & Miller, FOCS 1977).
+
+    With |K| - 1 = r^s t, r coprime to t, and alpha = r^(-1) mod t, d^alpha
+    is a root up to the error beta = d^(1 - r alpha), an r-th power in the
+    Sylow r-subgroup.  That subgroup is cyclic, generated by c = rho^t, and
+    log_c beta comes digit by digit (Pohlig-Hellman) from logarithms to the
+    order-r base c^(r^(s-1)); then c^(log_c beta / r) mends the error.
+    """
+    t, s = d.field.order - 1, 0
+    while t % r == 0:
+        t, s = t // r, s + 1
+    alpha = pow(r, -1, t)
+    beta = d ** (1 - r * alpha)
+    c = rho ** t
+    base = c ** (r ** (s - 1))
+    log = 0
+    for i in range(1, s):  # digit 0 is 0: beta is an r-th power
+        log += _log_prime_order(base, (beta * c ** -log) ** (r ** (s - 1 - i)), r) * r**i
+    _certify(c**log == beta, "Sylow logarithm does not reproduce its target")
+    return d**alpha * c ** (log // r)
+
+
 def solve_power(a: FieldElement, n: int) -> tuple[FieldElement, FiniteField]:
     """Smallest-extension solution b of b^n = a, lexicographically least.
 
     Returns (b, K) with K the smallest-degree extension of a's field that
-    contains such a b.
+    contains such a b.  With N = |K| - 1 and g = gcd(n, N), the solutions
+    are b0 mu_g for any one of them: c = a^((n/g)^(-1) mod N/g) satisfies
+    c^(n/g) = a, and b0 is a g-th root of c, taken one prime r | g at a
+    time by ``_prime_root`` with a non-r-th power rho_r.  The same rho_r
+    give zeta = prod rho_r^(N / r^e) of order g, and the least of the g
+    products b0 zeta^i is returned; g above the enumeration budget is
+    refused before any is formed.  No root finding and no factorization
+    of N: besides O(g + log N) products, each r-th root costs
+    O(s (sqrt(r) + log N)) products, r^s the r-part of N.
     """
     if a.is_zero():
         raise ZeroBase("cannot extract a root of zero")
@@ -1176,12 +1240,23 @@ def solve_power(a: FieldElement, n: int) -> tuple[FieldElement, FiniteField]:
         m = q**j - 1
         g = math.gcd(n, m)
         if a ** (m // g) == F.one():
+            budget = enumeration_budget()
+            if g > budget:
+                raise BudgetExceeded(f"{g} {n}-th roots of {a!r} exceed the budget {budget}")
             K = GF(F.p, F.k * j)
             ae = embed(a, K)
-            poly = FqPoly(K, [-ae] + [K.zero()] * (n - 1) + [K.one()])
-            roots = roots_in(poly, K)
-            _certify(bool(roots), f"x^{n} = {a!r} has no root in {K!r} despite the criterion")
-            return roots[0][0], K
+            b, zeta, primes = ae ** pow(n // g, -1, m // g), K.one(), _prime_divisors(g)
+            for r in primes:
+                rho, e = _non_residue(K, r), 0
+                while g % r ** (e + 1) == 0:
+                    b, e = _prime_root(b, r, rho), e + 1
+                zeta = zeta * rho ** (m // r**e)
+            _certify(zeta**g == K.one() and all(zeta ** (g // r) != K.one() for r in primes),
+                     f"zeta does not have order {g}")
+            roots = accumulate(range(g - 1), lambda x, _: x * zeta, initial=b)
+            least = min(roots, key=FieldElement.sort_key)
+            _certify(least**n == ae, f"x^{n} = {a!r} solved wrongly in {K!r}")
+            return least, K
     raise BudgetExceeded(f"no {n}-th root of {a!r} found within the degree bound")
 
 

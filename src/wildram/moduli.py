@@ -38,13 +38,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import accumulate, chain, combinations, islice, product
 from math import gcd
 
-from .addpoly import AdditivePoly, add_compose, recognize_additive, root_space
+from .addpoly import AdditivePoly, add_compose, recognize_additive, root_space, solve_affine
 from .domains import FiniteFieldDomain
 from .dynsys import Pgl2
 from .errors import (BadParameter, BudgetExceeded, DegreeMismatch, Inseparable,
                      NotAdditiveShape, _certify)
 from .ff import (GF, FieldElement, FiniteField, FqPoly, common_overfield, embed,
-                 enumeration_budget, roots_in, solve_power, splitting_degree)
+                 enumeration_budget, solve_power)
 
 
 def _parse_additive_with_constant(g) -> tuple[FiniteField, list[FieldElement], FieldElement]:
@@ -116,10 +116,14 @@ def _witness_carries(a, c1, b, c2, gamma, delta) -> bool:
 def to_monic_additive(g) -> MonicAdditiveForm:
     """Conjugate an additive-with-constant map into monic additive form.
 
-    The scaling witness b solves b^(p^m - 1) = a_m; when a constant term is
-    present, the translation part c solves the additive equation
-    sum A_i c^(p^i) - c = b * const, which always has a root in a finite
-    extension.  The returned witness is verified in the composition ring.
+    The scaling witness b is the least solution of b^(p^m - 1) = a_m in the
+    least extension holding one (``solve_power``: exponentiation and
+    Sylow-local roots).  When a constant term is present, the translation
+    part c is the least solution of the additive equation
+    sum A_i c^(p^i) - c = b * const in its splitting field
+    (``solve_affine``: the linearized splitting degree, then one affine
+    solve over F_p).  Neither builds the dense degree-p^m polynomial.  The
+    returned witness is verified in the composition ring.
     """
     F, coeffs, const = _parse_additive_with_constant(g)
     p = F.p
@@ -140,14 +144,7 @@ def to_monic_additive(g) -> MonicAdditiveForm:
         # (always solvable: the left side is additive with leading coefficient 1)
         h_coeffs = list(monic)
         h_coeffs[0] = h_coeffs[0] - E.one()
-        rhs = bE * constE
-        hp = AdditivePoly(E, h_coeffs).to_fqpoly()
-        target = FqPoly(E, [-rhs]) + hp
-        d = splitting_degree(target)
-        E2 = E if d == 1 else GF(p, E.k * d)
-        roots = roots_in(target, E2)
-        _certify(roots, "additive translation equation must split")
-        c = roots[0][0]
+        c, E2 = solve_affine(AdditivePoly(E, h_coeffs), bE * constE)
         if E2 != E:
             E = E2
             bE = embed(bE, E)

@@ -6,6 +6,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildram.addpoly import (
     AdditivePoly,
@@ -14,9 +16,12 @@ from wildram.addpoly import (
     iterate,
     recognize_additive,
     root_space,
+    solve_affine,
 )
 from wildram.errors import BadParameter, BudgetExceeded, FieldMismatch, Inseparable
-from wildram.ff import GF, FqPoly, splitting_degree
+from wildram.ff import GF, FqPoly, embed, splitting_degree
+
+from oracles import dense_translation
 
 
 def is_additive_function(f: FqPoly, trials: int = 8) -> bool:
@@ -240,6 +245,42 @@ def test_root_space_errors():
     f = AdditivePoly(F3, [1, 1])
     with pytest.raises(BudgetExceeded):
         root_space(f, 2, budget=5)
+
+
+def test_root_space_in_too_small_ambient_is_a_bad_parameter():
+    # z^9 - z has 9 roots, but F_3 holds 3 of them: a bad argument, not a budget
+    with pytest.raises(BadParameter, match="ambient field too small"):
+        root_space(AdditivePoly(GF(3), [-1, 0, 1]), 1, ambient=GF(3))
+
+
+FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3) if p**k <= 27]
+
+
+@st.composite
+def affine_equations(draw):
+    """(L, r) over F_q, q <= 27, L of Frobenius degree M with p^M <= 27 and
+    its low coefficients zero about half the time (L inseparable)."""
+    p, k = draw(st.sampled_from(FIELDS))
+    F = GF(p, k)
+    elem = st.integers(0, F.order - 1).map(F.element_from_index)
+    M = draw(st.integers(1, {2: 4, 3: 3, 5: 2, 7: 1}[p]))
+    zeros = draw(st.integers(0, M))
+    coeffs = [F.zero()] * zeros + draw(st.lists(elem, min_size=M - zeros, max_size=M - zeros))
+    return AdditivePoly(F, coeffs + [draw(elem.filter(bool))]), draw(elem)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(affine_equations())
+def test_solve_affine_matches_dense_translation(eq):
+    L, r = eq
+    c, K = solve_affine(L, r)
+    assert (c, K) == dense_translation(L, r)
+    assert L.map_into(K).evaluate(c) == embed(r, K)
+
+
+def test_solve_affine_refuses_the_zero_map():
+    with pytest.raises(BadParameter):
+        solve_affine(AdditivePoly(GF(3), []), GF(3).one())
 
 
 def test_corrupted_basis_fails_under_python_O():

@@ -3,10 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wildram import ff
 from wildram.errors import (
     BadParameter,
+    BudgetExceeded,
     NoEmbedding,
     NotPrime,
     ReducibleModulus,
@@ -14,6 +17,8 @@ from wildram.errors import (
     ZeroPolynomial,
 )
 from wildram.ff import GF, FqPoly, embed, make_field, roots_in, solve_power, splitting_degree, squarefree_factor
+
+from oracles import root_degree, scanning_solve_power
 
 
 def brute_irreducible(mu, p):
@@ -502,6 +507,45 @@ def test_solve_power():
 
     with pytest.raises(ZeroBase):
         solve_power(F3.zero(), 2)
+
+
+@st.composite
+def power_equations(draw):
+    """(a, n): a in F_q^x, q <= 16; n up to 40 or a multiple of p up to 12 p."""
+    p, k = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                 (5, 1), (7, 1), (11, 1), (13, 1)]))
+    F = GF(p, k)
+    a = F.element_from_index(draw(st.integers(1, F.order - 1)))
+    return a, draw(st.one_of(st.integers(1, 40), st.integers(1, 12).map(lambda t: p * t)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(power_equations())
+def test_solve_power_matches_scanning_oracle(eq):
+    a, n = eq
+    # the oracle finds the roots of the dense z^n - a, about n |K| products
+    assume(a.field.order ** root_degree(a, n) <= 2**12)
+    assert solve_power(a, n) == scanning_solve_power(a, n)
+
+
+def test_solve_power_without_factoring_the_group_order():
+    # 2^61 - 1 is prime, so g = gcd(3, 2^61 - 1) = 1 and b = x^(3^(-1) mod N):
+    # a discrete logarithm in GF(2, 61)^x would need about 1.5e9 giant steps
+    x = GF(2, 61).gen()
+    start = time.perf_counter()
+    b, K = solve_power(x, 3)
+    elapsed = time.perf_counter() - start
+    assert (b, K) == scanning_solve_power(x, 3)
+    assert elapsed < 1.0, elapsed
+
+
+def test_solve_power_refuses_more_roots_than_the_budget(monkeypatch):
+    # 1 has g = gcd(6, 6) = 6 sixth roots in F_7: refused before any is formed
+    monkeypatch.setenv("WILDRAM_BUDGET", "5")
+    with pytest.raises(BudgetExceeded, match="exceed the budget 5"):
+        solve_power(GF(7).one(), 6)
+    monkeypatch.setenv("WILDRAM_BUDGET", "6")
+    assert solve_power(GF(7).one(), 6) == (GF(7).one(), GF(7))
 
 
 def test_poly_divmod_gcd():

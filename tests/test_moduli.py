@@ -4,20 +4,24 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wildram import dynsys
 from wildram.addpoly import AdditivePoly, recognize_additive, root_space
 from wildram.domains import FiniteFieldDomain
 from wildram.dynsys import Pgl2, RationalMap, conjugate
 from wildram.errors import DegreeMismatch, Inseparable, NotAdditiveShape
-from wildram.ff import GF, FqPoly, common_overfield, embed
+from wildram.ff import GF, FqPoly, common_overfield, embed, solve_power
 from wildram.moduli import (
     CensusReport,
     _affine_conjugate_additive,
     _fixed_point_core,
+    _parse_additive_with_constant,
     _witness_carries,
     are_conjugate,
     census,
@@ -27,6 +31,8 @@ from wildram.moduli import (
     fix_points,
     to_monic_additive,
 )
+
+from oracles import dense_monic_form, root_degree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,6 +125,71 @@ def test_to_monic_additive_errors():
         to_monic_additive(FqPoly.from_ints(F3, [0, 1, 1, 1]))  # z^2 term
     with pytest.raises(Inseparable):
         to_monic_additive(AdditivePoly(F3, [0, 1, 1]))  # no z coefficient
+
+
+def test_to_monic_additive_of_a_degree_81_map():
+    # 2z^81 + z^3 + z over F_3: b^80 = 2 puts b in GF(3, 8), where the dense
+    # route scanned 6561 elements at degree 80 (about 9 s); the expected
+    # coordinates are that route's output
+    F3 = GF(3)
+    dense = [F3.zero()] * 82
+    dense[1], dense[3], dense[81] = F3.one(), F3.one(), F3.from_int(2)
+    start = time.perf_counter()
+    nf = to_monic_additive(FqPoly(F3, dense))
+    elapsed = time.perf_counter() - start
+    assert (nf.field.k, nf.field.modulus) == (8, (2, 0, 1, 0, 0, 0, 0, 0, 1))
+    assert [c.coords for c in nf.poly.coeffs] == [
+        (1, 0, 0, 0, 0, 0, 0, 0), (2, 0, 2, 0, 0, 0, 1, 0), (0,) * 8, (0,) * 8,
+        (1, 0, 0, 0, 0, 0, 0, 0)]
+    gamma, delta = nf.witness.affine_parts()
+    assert (gamma.coords, delta.coords) == ((0, 0, 0, 0, 0, 0, 0, 1), (0,) * 8)
+    assert elapsed < 1.0, elapsed
+
+
+MONIC_FAMILIES = [(p, m, k) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 9)
+                  for k in range(1, 5) if p**m <= 256 and p**k <= 16]
+
+
+@st.composite
+def additive_maps_with_constant(draw):
+    """a_0 z + ... + a_m z^(p^m) + const over F_q, q <= 16 and p^m <= 256;
+    a_0 = 1 (so the translation equation's L is inseparable) a third of the time."""
+    p, m, k = draw(st.sampled_from(MONIC_FAMILIES))
+    F = GF(p, k)
+    elem = st.integers(0, F.order - 1).map(F.element_from_index)
+    unit = st.integers(1, F.order - 1).map(F.element_from_index)
+    a0 = draw(st.one_of(st.just(F.one()), unit, unit))
+    coeffs = [a0, *draw(st.lists(elem, min_size=m - 1, max_size=m - 1)), draw(unit)]
+    dense = [F.zero()] * (p**m + 1)
+    dense[0] = draw(elem)
+    for i, a in enumerate(coeffs):
+        dense[p**i] = a
+    return FqPoly(F, dense)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(additive_maps_with_constant())
+def test_normal_form_matches_dense_oracles(g):
+    F, coeffs, const = _parse_additive_with_constant(g)
+    p, degree = F.p, g.degree
+    # The dense oracles cost about degree * |K| products in the field K of
+    # the normal form, so |K| is bounded before either route runs: b's field
+    # E by the root criterion, then K by |E|^(p d'), d' the splitting degree
+    # of ker L' over E (K has degree d' or p d' over E).
+    assume(degree * F.order ** root_degree(coeffs[-1], degree - 1) <= 2**16)
+    b, Kb = solve_power(coeffs[-1], degree - 1)
+    E = common_overfield(F, Kb)
+    monic, shift = _affine_conjugate_additive(
+        [embed(a, E) for a in coeffs], embed(const, E), embed(b, E), E.zero())
+    L = [monic[0] - E.one(), *monic[1:]]
+    core = AdditivePoly(E, L[next(i for i, a in enumerate(L) if a):])
+    assume(not shift or degree * E.order ** (p * core.splitting_degree()) <= 2**16)
+    nf = to_monic_additive(g)
+    K, monic, b, c = dense_monic_form(g)
+    assert nf.field == K
+    assert [x.coords for x in nf.poly.coeffs] == [x.coords for x in monic]
+    assert [x.coords for x in nf.witness.affine_parts()] == [b.coords, c.coords]
 
 
 def test_fix_points_examples():
