@@ -17,16 +17,15 @@ from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
 from . import _linalg
-from .errors import (BadParameter, BudgetExceeded, CertificateFailed, FieldMismatch,
-                     Inseparable, _certify)
+from .errors import BadParameter, CertificateFailed, FieldMismatch, Inseparable, _certify
 from .ff import (
     GF,
     FieldElement,
     FiniteField,
     FqPoly,
     embed,
-    enumeration_budget,
     field_from_json,
+    require,
 )
 
 if TYPE_CHECKING:
@@ -121,7 +120,7 @@ class AdditivePoly:
                 mat = (mat + _linalg.matmul(mul, power, p)) % p
         return mat
 
-    def splitting_degree(self, budget: int | None = None) -> int:
+    def splitting_degree(self) -> int:
         """Least e with every root in F_(q^e), q = |F|: least e with
         z^(q^e) = z modulo self.  Needs a separable polynomial.
 
@@ -138,10 +137,7 @@ class AdditivePoly:
         p, k, M = F.p, F.k, self.frobenius_degree
         if M == 0:  # a*z: the only root is 0
             return 1
-        if budget is None:
-            budget = enumeration_budget()
-        if p**M > budget:
-            raise BudgetExceeded(f"{p}^{M} roots exceed the budget {budget}")
+        require(f"the roots of an additive polynomial of Frobenius degree {M}: {p}^{M}", p**M)
         import numpy as np
 
         lead_inv = self.coeffs[-1].inverse()
@@ -171,7 +167,7 @@ def solve_affine(L: AdditivePoly, r: FieldElement) -> tuple[FieldElement, Finite
     L'(z) in F_p r, span(ker L', u0) for L'(u0) = r; they generate the same
     field as the roots c0 + ker L of L(z) - r, since c^(p^e) runs over
     u0 + ker L'.  So K comes from ``A.splitting_degree`` (gated by
-    p^(M+1-e) <= budget, M the Frobenius degree of L), and c from one rref
+    ``require`` on p^(M+1-e), M the Frobenius degree of L), and c from one rref
     of [L | r] on K, reduced to 0 at the pivot columns of the kernel's
     rref basis: those coordinates are free over the coset, and the ones
     before each pivot are fixed, so it is the lexicographic least.
@@ -266,7 +262,8 @@ class RootSpace:
     ``basis`` is the canonical rref basis of the coordinate vectors of the
     roots, certified by ``root_space`` as m*n roots of f^n (independent rref
     rows, so they span all p^(mn) roots of the separable f^n);
-    ``all_roots`` enumerates that span, sorted, on first access.
+    ``all_roots`` enumerates that span, sorted, on first access; every
+    access is refused while p^dimension exceeds the budget.
     """
 
     __slots__ = ("poly", "level", "field", "basis", "_roots")
@@ -287,12 +284,14 @@ class RootSpace:
 
     @property
     def all_roots(self) -> tuple:
+        p, dim = self.field.p, self.dimension
+        require(f"listing |Z_{self.level}| = {p}^{dim}", p**dim)
         if self._roots is None:
             import numpy as np
 
             K = self.field
             basis = np.array([b.coords for b in self.basis], dtype=np.int64).reshape(-1, K.k)
-            coords = sorted(tuple(int(v) for v in row) for row in _span(basis, K.p))
+            coords = sorted(tuple(int(v) for v in row) for row in _span(basis, p))
             object.__setattr__(self, "_roots", tuple(K.element(c) for c in coords))
         return self._roots
 
@@ -314,15 +313,12 @@ class RootSpace:
 
 
 @lru_cache(maxsize=128)
-def _root_space_cached(f: AdditivePoly, n: int, budget: int, ambient) -> RootSpace:
+def _root_space_cached(f: AdditivePoly, n: int, ambient) -> RootSpace:
     F = f.field
     p = F.p
     m = f.frobenius_degree
-    count = p ** (m * n)
-    if count > budget:
-        raise BudgetExceeded(f"|Z_{n}| = {count} exceeds the budget {budget}")
     fn = iterate(f, n)
-    K = GF(p, F.k * fn.splitting_degree(budget)) if ambient is None else ambient
+    K = GF(p, F.k * fn.splitting_degree()) if ambient is None else ambient
     kernel = _linalg.nullspace(fn.operator_matrix(K), p)
     if kernel.shape[0] != m * n:
         raise BadParameter(
@@ -352,8 +348,7 @@ def additive_from_json(d: dict) -> AdditivePoly:
     return AdditivePoly(F, [F.element(c) for c in d["a"]])
 
 
-def root_space(f: AdditivePoly, n: int, budget: int | None = None,
-               ambient: FiniteField | None = None) -> RootSpace:
+def root_space(f: AdditivePoly, n: int, *, ambient: FiniteField | None = None) -> RootSpace:
     """Z_n for separable f: a certified canonical basis of the roots of f^n.
 
     The splitting field is the canonical field of the minimal degree unless
@@ -363,6 +358,7 @@ def root_space(f: AdditivePoly, n: int, budget: int | None = None,
         raise Inseparable("root spaces need a separable additive polynomial")
     if n < 1:
         raise BadParameter("level must be >= 1")
-    if budget is None:
-        budget = enumeration_budget()
-    return _root_space_cached(f, n, budget, ambient)
+    p, m = f.field.p, f.frobenius_degree
+    # before the cache: a space built under a larger budget is refused too
+    require(f"|Z_{n}| = {p}^{m * n}", p ** (m * n))
+    return _root_space_cached(f, n, ambient)

@@ -29,13 +29,12 @@ from . import _poly
 from .errors import (
     BadDenominator,
     BadResidueChoice,
-    BudgetExceeded,
     NegativeValuation,
     NotPrime,
     ZeroDivisor,
     _certify,
 )
-from .ff import FieldElement, enumeration_budget, is_prime
+from .ff import FieldElement, is_prime, require
 
 INFINITE = inf  # valuation of zero
 
@@ -49,12 +48,7 @@ def check_cyclotomic_budget(p: int) -> None:
     orbits and the scaling check, is (p-1)^2 products in Q(zeta_p) of
     (p-1)^2 integer products each: (p-1)^4 is the size checked.
     """
-    need, budget = (p - 1) ** 4, enumeration_budget()
-    if need > budget:
-        raise BudgetExceeded(
-            f"Q(zeta_{p}) arithmetic of size (p-1)^4 = {need} exceeds the budget "
-            f"{budget}; set WILDRAM_BUDGET to allow more"
-        )
+    require(f"Q(zeta_{p}) arithmetic of size (p-1)^4", (p - 1) ** 4)
 
 
 class CyclotomicNumber:

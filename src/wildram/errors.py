@@ -43,7 +43,8 @@ class Inseparable(WildramError):
 
 
 class BudgetExceeded(WildramError):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would exceed WILDRAM_BUDGET or a fixed limit; raised
+    only by ``ff.require``."""
 
 
 class DegenerateMap(WildramError):

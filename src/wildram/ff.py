@@ -89,6 +89,21 @@ def enumeration_budget() -> int:
     return budget
 
 
+def require(what: str, requested: int, allowed: int | None = None) -> None:
+    """Refuse ``requested`` units of ``what`` above ``allowed``; the one
+    place BudgetExceeded is raised.
+
+    ``allowed=None`` is the enumeration budget, which WILDRAM_BUDGET sets;
+    an explicit ``allowed`` is a fixed limit that no knob raises.
+    """
+    if allowed is None:
+        allowed, limit = enumeration_budget(), "the budget {}; set WILDRAM_BUDGET to allow more"
+    else:
+        limit = "the fixed limit {}, which WILDRAM_BUDGET does not raise"
+    if requested > allowed:
+        raise BudgetExceeded(f"{what} = {requested} would exceed " + limit.format(allowed))
+
+
 def _scan_is_cheaper(order: int, deg: int) -> bool:
     """Whether scanning a field of this order for roots of a degree-deg
     polynomial costs less than Cantor-Zassenhaus splitting."""
@@ -1236,13 +1251,11 @@ def solve_power(a: FieldElement, n: int) -> tuple[FieldElement, FiniteField]:
     F = a.field
     q = F.order
     # b exists in F_{q^j} iff a^((q^j - 1)/gcd(n, q^j - 1)) = 1.
-    for j in range(1, 4 * n * F.k + 4):
+    for j in range(1, n + 1):
         m = q**j - 1
         g = math.gcd(n, m)
         if a ** (m // g) == F.one():
-            budget = enumeration_budget()
-            if g > budget:
-                raise BudgetExceeded(f"{g} {n}-th roots of {a!r} exceed the budget {budget}")
+            require(f"the number of {n}-th roots of {a!r}", g)
             K = GF(F.p, F.k * j)
             ae = embed(a, K)
             b, zeta, primes = ae ** pow(n // g, -1, m // g), K.one(), _prime_divisors(g)
@@ -1257,7 +1270,8 @@ def solve_power(a: FieldElement, n: int) -> tuple[FieldElement, FiniteField]:
             least = min(roots, key=FieldElement.sort_key)
             _certify(least**n == ae, f"x^{n} = {a!r} solved wrongly in {K!r}")
             return least, K
-    raise BudgetExceeded(f"no {n}-th root of {a!r} found within the degree bound")
+    # Unreachable: a root of x^n - a has degree at most n over F.
+    raise CertificateFailed(f"no {n}-th root of {a!r} found within the degree bound")
 
 
 # ---------------------------------------------------------------------------

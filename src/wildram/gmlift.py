@@ -28,8 +28,8 @@ from .cyclotomic import (
     check_cyclotomic_budget,
 )
 from .domains import _rational_roots
-from .errors import BadParameter, BudgetExceeded, NegativeValuation, _certify
-from .ff import FieldElement, FqPoly, is_prime
+from .errors import BadParameter, NegativeValuation, _certify
+from .ff import FieldElement, FqPoly, is_prime, require
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +429,15 @@ def pcf_locus_poly(p: int, m_idx: int, n_idx: int) -> tuple[RPoly, LocusReport]:
     """f^m(-s/lambda) - f^(m+n)(-s/lambda) as an exact polynomial in s.
 
     Parameters of post-critically finite lifts are roots of these; the
-    degree grows like p^(m+n), so small budgets are enforced up front.
+    degree grows like p^(m+n), so m + n and p have fixed limits, checked
+    up front; WILDRAM_BUDGET does not raise them.
     """
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
     if m_idx < 0 or n_idx < 1:
         raise BadParameter("need m >= 0 and n >= 1")
-    if m_idx + n_idx > _LOCUS_MAX_TOTAL or p > _LOCUS_MAX_P:
-        raise BudgetExceeded(
-            f"symbolic degree p^(m+n) = {p**(m_idx+n_idx)} beyond the budget"
-        )
+    require("the locus iterations m + n", m_idx + n_idx, _LOCUS_MAX_TOTAL)
+    require("the locus prime p", p, _LOCUS_MAX_P)
     ring = CycloRing(p)
     lam = CyclotomicNumber.lam(p)
     crit = RPoly(ring, [ring.zero(), ring.scalar(-1) * (ring.one() / lam)])  # -s/lambda

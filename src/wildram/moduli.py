@@ -41,10 +41,9 @@ from math import gcd
 from .addpoly import AdditivePoly, add_compose, recognize_additive, root_space, solve_affine
 from .domains import FiniteFieldDomain
 from .dynsys import Pgl2
-from .errors import (BadParameter, BudgetExceeded, DegreeMismatch, Inseparable,
-                     NotAdditiveShape, _certify)
-from .ff import (GF, FieldElement, FiniteField, FqPoly, common_overfield, embed,
-                 enumeration_budget, solve_power)
+from .errors import BadParameter, DegreeMismatch, Inseparable, NotAdditiveShape, _certify
+from .ff import (GF, FieldElement, FiniteField, FqPoly, common_overfield, embed, require,
+                 solve_power)
 
 
 def _parse_additive_with_constant(g) -> tuple[FiniteField, list[FieldElement], FieldElement]:
@@ -316,8 +315,7 @@ def closed_form_histogram(p: int, m: int, q: int) -> dict[int, int]:
     return hist
 
 
-def census(p: int, m: int, q: int, budget: int | None = None,
-           keep_witnesses: int = 3) -> CensusReport:
+def census(p: int, m: int, q: int, keep_witnesses: int = 3) -> CensusReport:
     """Partition the monic separable additive maps over F_q by conjugacy.
 
     The class of a map of support S is its orbit under a_i -> a_i t^(1 - p^i),
@@ -333,11 +331,8 @@ def census(p: int, m: int, q: int, budget: int | None = None,
     """
     if m < 1:
         raise BadParameter(f"census needs m >= 1, not {m}")
-    if budget is None:
-        budget = enumeration_budget()
     total = (q - 1) * q ** (m - 1)
-    if total > budget:
-        raise BudgetExceeded(f"census size {total} exceeds budget {budget}")
+    require(f"the census size (q-1) q^(m-1) = {q - 1}*{q}^{m - 1}", total)
     polys = list(enumerate_census_polys(p, m, q))
     _certify(len(polys) == total, f"enumerated {len(polys)} maps, expected {total}")
     F, N = polys[0].field, p**m - 1

@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING
 from . import _linalg
 from .addpoly import AdditivePoly, RootSpace, is_separable, root_space
 from .dynsys import ProjPoint, RationalMap, ram_profile
-from .errors import BadParameter, BudgetExceeded, Inseparable, NotPolynomial, NotPrime, _certify
-from .ff import enumeration_budget, is_prime
+from .errors import BadParameter, Inseparable, NotPolynomial, NotPrime, _certify
+from .ff import is_prime, require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,11 +63,7 @@ class GroupAction:
         raises BudgetExceeded before anything is built.
         """
         elems = list(roots)
-        budget = enumeration_budget()
-        if len(elems) ** 2 > budget:
-            raise BudgetExceeded(
-                f"translation table of {len(elems)}^2 entries exceeds the budget {budget}"
-            )
+        require(f"the translation table size {len(elems)}^2", len(elems) ** 2)
         perms = {a: {x: a + x for x in elems} for a in elems}
         return cls(elems, list(elems), perms)
 
@@ -191,11 +187,11 @@ def _level(f: AdditivePoly, zs: RootSpace) -> MonodromyLevel:
     return MonodromyLevel(f, zs.level, zs, action)
 
 
-def monodromy_level(f: AdditivePoly, n: int, budget: int | None = None) -> MonodromyLevel:
+def monodromy_level(f: AdditivePoly, n: int) -> MonodromyLevel:
     """Build level n with certified transitivity and freeness."""
     if not is_separable(f):
         raise Inseparable("monodromy needs a separable additive polynomial")
-    return _level(f, root_space(f, n, budget=budget))
+    return _level(f, root_space(f, n))
 
 
 @dataclass(frozen=True)
@@ -231,7 +227,7 @@ class Tower:
         return len(self.levels)
 
 
-def tower(f: AdditivePoly, N: int, budget: int | None = None) -> Tower:
+def tower(f: AdditivePoly, N: int) -> Tower:
     """Levels 1..N in a common ambient field with certified projections.
 
     All levels are realized inside the splitting field of f^N so that the
@@ -243,12 +239,10 @@ def tower(f: AdditivePoly, N: int, budget: int | None = None) -> Tower:
     """
     if not is_separable(f):
         raise Inseparable("towers need a separable additive polynomial")
-    if budget is None:
-        budget = enumeration_budget()
-    top = root_space(f, N, budget=budget)
+    top = root_space(f, N)
     K = top.field
     levels = [
-        _level(f, top if n == N else root_space(f, n, budget=budget, ambient=K))
+        _level(f, top if n == N else root_space(f, n, ambient=K))
         for n in range(1, N + 1)
     ]
     fK = f.map_into(K)
@@ -359,7 +353,7 @@ class LiftObstructionCertificate:
         }
 
 
-def lift_obstruction(f: AdditivePoly, budget: int | None = None) -> LiftObstructionCertificate:
+def lift_obstruction(f: AdditivePoly) -> LiftObstructionCertificate:
     """Choose n with n*ell >= 3, exhibit the free level, emit the arithmetic.
 
     The free translation action at level n together with the critical-count
@@ -371,7 +365,7 @@ def lift_obstruction(f: AdditivePoly, budget: int | None = None) -> LiftObstruct
     p = f.field.p
     ell = f.frobenius_degree
     n = max(1, -(-3 // ell))
-    level = monodromy_level(f, n, budget=budget)
+    level = monodromy_level(f, n)
     report = char0_obstruction(p, n * ell)
     _certify(report.obstructed, "nm >= 3 must yield an obstructed degree")
     return LiftObstructionCertificate(

@@ -2,8 +2,9 @@
 
 Each entry of tests/golden/commands.json names a `wildram` command line.
 It is run in a fresh interpreter, with tests/golden/ as the working
-directory so that input paths are relative, and its stdout is written to
-<name>.stdout and its exit code to <name>.exit.  test_golden.py replays the
+directory so that input paths are relative, and without WILDRAM_BUDGET so
+that refusals (exit 3) do not depend on the caller's shell; its stdout is
+written to <name>.stdout and its exit code to <name>.exit.  test_golden.py replays the
 same commands and compares byte for byte.
 
     PYTHONPATH=src python tests/make_golden.py
@@ -29,8 +30,8 @@ def commands() -> dict[str, list[str]]:
 
 def run(argv: list[str]) -> tuple[bytes, int]:
     """stdout and exit code of `wildram argv` in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k != "WILDRAM_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "wildram.cli", *argv], cwd=GOLDEN,
                           env=env, capture_output=True, timeout=300)
     return proc.stdout, proc.returncode

@@ -238,13 +238,14 @@ def test_root_space_additivity_identity():
             assert fe.evaluate(x * lam) == fe.evaluate(x) * lam
 
 
-def test_root_space_errors():
+def test_root_space_errors(monkeypatch):
     F3 = GF(3)
     with pytest.raises(Inseparable):
         root_space(AdditivePoly(F3, [0, 1, 1]), 1)
     f = AdditivePoly(F3, [1, 1])
+    monkeypatch.setenv("WILDRAM_BUDGET", "5")
     with pytest.raises(BudgetExceeded):
-        root_space(f, 2, budget=5)
+        root_space(f, 2)
 
 
 def test_root_space_in_too_small_ambient_is_a_bad_parameter():
@@ -350,13 +351,15 @@ def test_linearized_splitting_degree_matches_dense_oracle(p):
                 n += 1
 
 
-def test_linearized_splitting_degree_guards():
+def test_linearized_splitting_degree_guards(monkeypatch):
     F3 = GF(3)
     with pytest.raises(Inseparable):
         AdditivePoly(F3, [0, 1]).splitting_degree()
+    monkeypatch.setenv("WILDRAM_BUDGET", "8")
     with pytest.raises(BudgetExceeded):
-        AdditivePoly(F3, [-1, 0, 1]).splitting_degree(budget=8)
-    assert AdditivePoly(F3, [-1, 0, 1]).splitting_degree(budget=9) == 2  # z^9 - z
+        AdditivePoly(F3, [-1, 0, 1]).splitting_degree()
+    monkeypatch.setenv("WILDRAM_BUDGET", "9")
+    assert AdditivePoly(F3, [-1, 0, 1]).splitting_degree() == 2  # z^9 - z
 
 
 def test_root_space_min_splitting_degree():

@@ -410,3 +410,28 @@ def test_exit_code_table(capsys, monkeypatch, argv, code):
         assert f"{name}={value!r}" in err
     if code == 3:
         assert "(p-1)^4" in err and "65536" in err and "WILDRAM_BUDGET" in err
+
+
+# the refusals outside Q(zeta_p): each names what it counted, the default
+# budget and the variable that raises it
+@pytest.mark.parametrize("argv,requested", [
+    (["census", "--p", "3", "--m", "3", "--q", "81"], 524880),  # 80 * 81^2 maps
+    (["monodromy", "--depth", "17"], 131072),  # |Z_17| = 2^17 for z + z^2 over F_2
+], ids=["census", "monodromy"])
+def test_budget_refusals_name_the_knob(capsys, monkeypatch, tmp_path, argv, requested):
+    monkeypatch.delenv("WILDRAM_BUDGET", raising=False)
+    if argv[0] == "monodromy":
+        argv = [*argv, "--map", write_additive_json(tmp_path, "f.json", 2, 1, [[1], [1]])]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"= {requested} " in err and "65536" in err and "WILDRAM_BUDGET" in err
+
+
+def test_locus_limits_are_fixed(capsys, monkeypatch):
+    # no budget raises the locus limits: p <= 5 and m + n <= 4
+    monkeypatch.setenv("WILDRAM_BUDGET", str(2**40))
+    for argv, limit in ((["--p", "7", "--m", "1", "--n", "1"], "limit 5"),
+                        (["--p", "3", "--m", "2", "--n", "3"], "limit 4")):
+        assert main(["locus", *argv]) == 3
+        err = capsys.readouterr().err
+        assert limit in err and "WILDRAM_BUDGET does not raise" in err

@@ -49,9 +49,10 @@ def test_monodromy_level_examples():
     assert lvl.abelian_invariants() == (3, 3)
 
 
-def test_level_order_past_the_int64_range():
+def test_level_order_past_the_int64_range(monkeypatch):
     # |Z_64| = 2^64 is an int, but len() cannot return it
-    lvl = monodromy_level(AdditivePoly(GF(2), [1, 1]), 64, budget=2**70)
+    monkeypatch.setenv("WILDRAM_BUDGET", str(2**70))
+    lvl = monodromy_level(AdditivePoly(GF(2), [1, 1]), 64)
     assert lvl.order == 2**64
     with pytest.raises(BadParameter):
         len(lvl.space)
@@ -162,6 +163,20 @@ def test_translation_table_respects_budget(monkeypatch):
         lvl.action.perms
     with pytest.raises(BudgetExceeded):
         GroupAction.translation(lvl.space.all_roots)
+
+
+def test_a_lowered_budget_refuses_a_level_built_before(monkeypatch):
+    # a level built under a raised budget is neither listed nor served from
+    # the root-space cache once the budget is lowered
+    f = AdditivePoly(GF(2), [1, 1])
+    monkeypatch.setenv("WILDRAM_BUDGET", "131072")
+    lvl = monodromy_level(f, 17)
+    monkeypatch.setenv("WILDRAM_BUDGET", "65536")
+    assert lvl.order == 2**17
+    with pytest.raises(BudgetExceeded, match="131072"):
+        lvl.space.all_roots
+    with pytest.raises(BudgetExceeded, match="131072"):
+        monodromy_level(f, 17)
 
 
 def test_queries_never_enumerate_root_spaces(monkeypatch):
