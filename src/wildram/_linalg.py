@@ -1,102 +1,203 @@
-"""Dense linear algebra over the prime field F_p, on numpy int64 arrays.
+"""Dense linear algebra over the prime field F_p, on rows packed into ints.
 
-All matrices hold integers reduced mod p.  These routines back the parts of
-the package that solve F_p matrices: kernels of additive operators,
-subfield detection, rank certificates and canonical basis extraction.
-Everything is exact.  numpy is imported on the first call, not with the
-module, so field arithmetic that never reaches a matrix never loads it.
+A vector of length n over F_p is one Python int with a w-bit slot per
+entry, entry j in bits j*w to j*w + w - 1.  For p = 2, w = 1: bit j is
+entry j and adding two rows is one XOR, as in bit-packed elimination
+(Albrecht, Bard & Hart, ACM TOMS 37, 2010, "M4RI").  For odd p the one
+slot-width bound is
 
-Products are exact while inner_dim * (p-1)^2 < 2^63; ``matmul``, and so
-``matpow``, refuses larger ones with BadParameter.
+    w >= bit_length(n * p^2) + 1,   so 2^w > 2n (p-1)^2:
+
+a slot holds any sum of 2n products of two residues mod p, so rows
+combine by big-int multiply-adds with no carry between slots, and are
+reduced mod p only when read or passed to ``reduce``.  w is the bound
+rounded up to 8, 16, 32 or 64 bits when it fits, so that packing is a
+byte copy.  This module is the only code that knows the layout; the
+others pass packed rows around as opaque ints.
+
+These routines back the parts of the package that solve F_p matrices:
+kernels of additive operators, subfield detection, rank certificates and
+canonical basis extraction, and the field product (``mulmod``).
+Everything is exact, at every p.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import sys
+from array import array
+from functools import lru_cache
 
-from .errors import BadParameter
-
-if TYPE_CHECKING:
-    import numpy as np
-
-INT64_LIMIT = 1 << 63
+_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # unsigned array items of w bits
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.  Returns (rref matrix, pivot columns)."""
-    import numpy as np
+@lru_cache(maxsize=None)
+def _width(p: int, n: int) -> int:
+    bits = (n * p * p).bit_length() + 1
+    return next((w for w in _TYPECODES if bits <= w), bits)
 
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+
+@lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The table that translates each byte to its residue mod p."""
+    return bytes(v % p for v in range(256))
+
+
+def _pack(vec, w: int) -> int:
+    if w == 8:
+        return int.from_bytes(bytes(vec), "little")
+    if w not in _TYPECODES or len(vec) <= 8:  # for short rows shifting is cheaper
+        x = 0
+        for v in reversed(vec):
+            x = (x << w) | v
+        return x
+    items = array(_TYPECODES[w], vec)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return int.from_bytes(items.tobytes(), "little")
+
+
+def _unpack(x: int, w: int, n: int, p: int) -> list[int]:
+    if w == 8:
+        return list(x.to_bytes(n, "little").translate(_residues(p)))
+    if w not in _TYPECODES:
+        return [((x >> j * w) & ((1 << w) - 1)) % p for j in range(n)]
+    items = array(_TYPECODES[w], x.to_bytes(n * w // 8, "little"))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return [v % p for v in items]
+
+
+def pack(vec, p: int) -> int:
+    """The entries of vec, residues mod p, as one packed row of len(vec) slots."""
+    if p == 2:
+        return int(bytes(vec[::-1]).translate(_TO_DIGITS) or b"0", 2)
+    return _pack(vec, _width(p, len(vec)))
+
+
+def unpack(x: int, p: int, n: int) -> list[int]:
+    """The n entries of a packed row, reduced mod p."""
+    if p == 2:
+        return list(format(x, f"0{n}b").encode()[::-1].translate(_FROM_DIGITS))
+    return _unpack(x, _width(p, n), n, p)
+
+
+def reduce(x: int, p: int, n: int) -> int:
+    """The packed row x of n entries with every slot reduced mod p."""
+    if p == 2:
+        return x
+    w = _width(p, n)
+    if w == 8:
+        return int.from_bytes(x.to_bytes(n, "little").translate(_residues(p)), "little")
+    return _pack(_unpack(x, w, n, p), w)
+
+
+def combine(coeffs, rows, p: int) -> int:
+    """sum_t coeffs[t] * rows[t], coefficients residues mod p, rows reduced.
+
+    The sum is unreduced: it may take up to 2n terms, or n if it goes on
+    into ``rref`` (which adds up to n more before it reduces a row).
+    """
+    if p == 2:
+        acc = 0
+        for c, row in zip(coeffs, rows):
+            if c & 1:
+                acc ^= row
+        return acc
+    return sum([c * row for c, row in zip(coeffs, rows) if c])
+
+
+def reduction(rows, p: int) -> list[int]:
+    """The coordinate vectors of x^(k+j) mod a modulus of degree k, j < k - 1,
+    packed for ``mulmod``: integer products carry, so at p = 2 too in
+    slots of the odd-p width."""
+    return [_pack(row, _width(p, len(row))) for row in rows]
+
+
+def mulmod(a, b, reduction: list[int], p: int) -> list[int]:
+    """Coordinates mod p of a * b modulo the degree-k modulus with these
+    packed ``reduction`` rows, a and b residue vectors of length k.
+
+    One big-int product of the packed a and b (Kronecker substitution)
+    leaves 2k - 1 slots of at most k products each; the top k - 1, reduced,
+    fold back onto the low k through the rows, k - 1 more products.
+    """
+    k = len(a)
+    w = _width(p, k)
+    z = _pack(a, w) * _pack(b, w)
+    low = z & ((1 << k * w) - 1)
+    for c, row in zip(_unpack(z >> k * w, w, k - 1, p), reduction):
+        if c:
+            low += c * row
+    return _unpack(low, w, k, p)
+
+
+def x_multiples(row: int, xn: int, p: int, n: int) -> list[int]:
+    """The packed rows row * x^t modulo a monic modulus of degree n, t < n,
+    from the reduced row and xn, the packed x^n modulo the modulus."""
+    w = 1 if p == 2 else _width(p, n)
+    top, mask, low = (n - 1) * w, (1 << w) - 1, (1 << n * w) - 1
+    out = [row]
+    for _ in range(n - 1):
+        lead = ((row >> top) & mask) % p
+        row = (row << w) & low
+        if lead:
+            row = row ^ xn if p == 2 else reduce(row + lead * xn, p, n)
+        out.append(row)
+    return out
+
+
+def rref(rows, p: int, n: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over F_p of the matrix with these packed
+    rows of n entries; a row may be an unreduced ``combine`` of n terms.
+
+    Returns (reduced rref rows, pivot columns).  Each pivot row is reduced
+    and scaled once; every other row is updated lazily by a_j += (p - f) r
+    (a_j ^= r at p = 2), and reduced when it becomes a pivot row or at the
+    end.
+    """
+    w = 1 if p == 2 else _width(p, n)
+    mask = (1 << w) - 1
+    a, pivots = list(rows), []
+    for c in range(n):
+        s, r = c * w, len(pivots)
+        i = next((i for i in range(r, len(a)) if ((a[i] >> s) & mask) % p), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        piv = a[i]
+        if p != 2:
+            vals = unpack(piv, p, n)
+            piv = pack([v * pow(vals[c], -1, p) % p for v in vals], p)
+        a[i], a[r] = a[r], piv
+        for j, row in enumerate(a):
+            f = ((row >> s) & mask) % p
+            if f and j != r:
+                a[j] = row ^ piv if p == 2 else row + (p - f) * piv
         pivots.append(c)
-        r += 1
-    return a, pivots
+    return [reduce(row, p, n) for row in a], pivots
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    _, pivots = rref(mat, p)
-    return len(pivots)
+def rank(rows, p: int, n: int) -> int:
+    return len(rref(rows, p, n)[1])
 
 
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel of mat over F_p, one basis vector per row."""
-    import numpy as np
-
-    a, pivots = rref(mat, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-a[r, fc]) % p
+def nullspace(rows, p: int, n: int) -> list[int]:
+    """Basis of the right kernel over F_p, one packed row per free column:
+    1 there, 0 at the other free columns."""
+    red, pivots = rref(rows, p, n)
+    mat = [unpack(row, p, n) for row in red[: len(pivots)]]
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = [0] * n
+        vec[fc] = 1
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -row[fc] % p
+        basis.append(pack(vec, p))
     return basis
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for entries in [0, p); b may be a vector."""
-    import numpy as np
-
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    inner = a.shape[-1]
-    if inner * (p - 1) ** 2 >= INT64_LIMIT:
-        raise BadParameter(
-            f"mod-{p} product of shapes {a.shape} x {b.shape}: inner dimension "
-            f"{inner} * (p-1)^2 >= 2^63 would overflow int64"
-        )
-    return (a @ b) % p
-
-
-def matpow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    import numpy as np
-
-    base = np.array(mat, dtype=np.int64) % p
-    result = np.eye(base.shape[0], dtype=np.int64)
-    while e > 0:
-        if e & 1:
-            result = matmul(result, base, p)
-        base = matmul(base, base, p)
-        e >>= 1
-    return result
-
-
-def row_space_basis(mat: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis (rref pivot rows) of the row space of mat over F_p."""
-    a, pivots = rref(mat, p)
-    return a[: len(pivots)]
+def row_space_basis(rows, p: int, n: int) -> list[int]:
+    """Canonical basis (rref pivot rows) of the row space over F_p."""
+    red, pivots = rref(rows, p, n)
+    return red[: len(pivots)]

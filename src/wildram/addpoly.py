@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING
+from itertools import product
 
 from . import _linalg
 from .errors import BadParameter, CertificateFailed, FieldMismatch, Inseparable, _certify
@@ -27,9 +27,6 @@ from .ff import (
     field_from_json,
     require,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class AdditivePoly:
@@ -104,21 +101,28 @@ class AdditivePoly:
                 acc = acc + ce * cur
         return acc
 
-    def operator_matrix(self, K: FiniteField) -> np.ndarray:
-        """Matrix of the induced F_p-linear map on K (coefficients embedded)."""
-        import numpy as np
+    def operator_matrix(self, K: FiniteField) -> list[int]:
+        """Matrix of the induced F_p-linear map on K (coefficients embedded),
+        as packed rows: row s holds coordinate s of the images of the x^t.
 
-        p = self.field.p
-        frob = K.frobenius_matrix()
-        mat = np.zeros((K.k, K.k), dtype=np.int64)
-        power = np.eye(K.k, dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            if i > 0:
-                power = _linalg.matmul(frob, power, p)
-            if not c.is_zero():
-                mul = K.mult_matrix(embed(c, K))
-                mat = (mat + _linalg.matmul(mul, power, p)) % p
-        return mat
+        Horner in the Frobenius F: with H_m = c_m and H_i = c_i + H_(i+1) F,
+        H_0 = sum_i c_i F^i.  The images of the x^t under H_i are packed
+        rows: c_i x^t, plus the images under H_(i+1) combined by the
+        coordinates of (x^t)^p, the cached row t of F.
+        """
+        p, k = K.p, K.k
+        frobenius = []  # row t of F as (1 and the nonzero entries, their columns)
+        for row in K._frobenius_rows(1):
+            entries = _linalg.unpack(row, p, k)
+            frobenius.append(([1] + [v for v in entries if v], [u for u, v in enumerate(entries) if v]))
+        xk = _linalg.pack([-m % p for m in K.modulus[:k]], p)  # x^k mod the modulus
+        images = [0] * k
+        for c in reversed(self.coeffs):
+            scaled = _linalg.x_multiples(_linalg.pack(embed(c, K).coords, p), xk, p, k)
+            images = [_linalg.reduce(_linalg.combine(coeffs, [row] + [images[u] for u in us], p), p, k)
+                      for row, (coeffs, us) in zip(scaled, frobenius)]
+        columns = [_linalg.unpack(image, p, k) for image in images]
+        return [_linalg.pack([col[s] for col in columns], p) for s in range(k)]
 
     def splitting_degree(self) -> int:
         """Least e with every root in F_(q^e), q = |F|: least e with
@@ -138,22 +142,20 @@ class AdditivePoly:
         if M == 0:  # a*z: the only root is 0
             return 1
         require(f"the roots of an additive polynomial of Frobenius degree {M}: {p}^{M}", p**M)
-        import numpy as np
-
-        lead_inv = self.coeffs[-1].inverse()
-        fold = np.stack([F.mult_matrix(-c * lead_inv) for c in self.coeffs[:-1]])
-        frob_t = F.frobenius_matrix().T
-        z = np.zeros((M, k), dtype=np.int64)
-        z[0, 0] = 1
+        # one p-step as a packed F_p-linear map on the M*k coordinates of
+        # (v_0, ..., v_(M-1)): row (j, u) is the image of x^u in place j
+        fold = [-c / self.coeffs[-1] for c in self.coeffs[:-1]]
+        xps = [F.element(_linalg.unpack(row, p, k)) for row in F._frobenius_rows(1)]  # (x^u)^p
+        zero = (0,) * k
+        steps = [_linalg.pack(zero * (j + 1) + xp.coords + zero * (M - j - 2), p)
+                 for j in range(M - 1) for xp in xps]
+        steps += [_linalg.pack(sum(((a * xp).coords for a in fold), ()), p) for xp in xps]
+        z = [1] + [0] * (M * k - 1)
         v = z
         for e in range(1, p**M):
             for _ in range(k):
-                w = (v @ frob_t) % p
-                top = w[-1]
-                v = (fold @ top) % p
-                v[1:] += w[:-1]
-                v %= p
-            if np.array_equal(v, z):
+                v = _linalg.unpack(_linalg.combine(v, steps, p), p, M * k)
+            if v == z:
                 return e
         raise CertificateFailed(f"z^(q^e) != z modulo L for every e < {p}^{M}")
 
@@ -181,16 +183,17 @@ def solve_affine(L: AdditivePoly, r: FieldElement) -> tuple[FieldElement, Finite
     A = add_compose(AdditivePoly(F, [-(r ** (p - 1)), F.one()]), core) if r else core
     d = A.splitting_degree()
     K = F if d == 1 else GF(p, F.k * d)
-    import numpy as np
-
+    n = K.k
     op, rK = L.operator_matrix(K), embed(r, K)
-    red, pivots = _linalg.rref(np.column_stack([op, rK.coords]), p)
-    _certify(K.k not in pivots, f"L(z) = r has no solution in {K!r}")
-    x = np.zeros(K.k, dtype=np.int64)
-    x[pivots] = red[: len(pivots), -1]
-    kernel, kernel_pivots = _linalg.rref(_linalg.nullspace(op, p), p)
+    augmented = [_linalg.pack(_linalg.unpack(row, p, n) + [v], p) for row, v in zip(op, rK.coords)]
+    red, pivots = _linalg.rref(augmented, p, n + 1)
+    _certify(n not in pivots, f"L(z) = r has no solution in {K!r}")
+    x = [0] * n
+    for row, col in zip(red, pivots):
+        x[col] = _linalg.unpack(row, p, n + 1)[n]
+    kernel, kernel_pivots = _linalg.rref(_linalg.nullspace(op, p, n), p, n)
     for row, col in zip(kernel, kernel_pivots):
-        x = (x - x[col] * row) % p
+        x = [(a - x[col] * b) % p for a, b in zip(x, _linalg.unpack(row, p, n))]
     c = K.element(x)
     _certify(L.map_into(K).evaluate(c) == rK, "affine solution does not solve L(c) = r")
     return c, K
@@ -287,11 +290,8 @@ class RootSpace:
         p, dim = self.field.p, self.dimension
         require(f"listing |Z_{self.level}| = {p}^{dim}", p**dim)
         if self._roots is None:
-            import numpy as np
-
             K = self.field
-            basis = np.array([b.coords for b in self.basis], dtype=np.int64).reshape(-1, K.k)
-            coords = sorted(tuple(int(v) for v in row) for row in _span(basis, p))
+            coords = sorted(tuple(row) for row in _span(self.basis, p, K.k))
             object.__setattr__(self, "_roots", tuple(K.element(c) for c in coords))
         return self._roots
 
@@ -319,12 +319,13 @@ def _root_space_cached(f: AdditivePoly, n: int, ambient) -> RootSpace:
     m = f.frobenius_degree
     fn = iterate(f, n)
     K = GF(p, F.k * fn.splitting_degree()) if ambient is None else ambient
-    kernel = _linalg.nullspace(fn.operator_matrix(K), p)
-    if kernel.shape[0] != m * n:
+    kernel = _linalg.nullspace(fn.operator_matrix(K), p, K.k)
+    if len(kernel) != m * n:
         raise BadParameter(
-            f"kernel dimension {kernel.shape[0]} != {m*n}; ambient field too small"
+            f"kernel dimension {len(kernel)} != {m*n}; ambient field too small"
         )
-    basis = tuple(K.element(row) for row in _linalg.row_space_basis(kernel, p))
+    basis = tuple(K.element(_linalg.unpack(row, p, K.k))
+                  for row in _linalg.row_space_basis(kernel, p, K.k))
     fnK = fn.map_into(K)
     _certify(
         len(basis) == m * n and all(fnK.evaluate(b).is_zero() for b in basis),
@@ -333,14 +334,11 @@ def _root_space_cached(f: AdditivePoly, n: int, ambient) -> RootSpace:
     return RootSpace(f, n, K, basis)
 
 
-def _span(basis: np.ndarray, p: int) -> np.ndarray:
-    import numpy as np
-
-    dim, width = basis.shape
-    if dim == 0:
-        return np.zeros((1, width), dtype=np.int64)
-    coeffs = np.indices((p,) * dim).reshape(dim, -1).T  # all F_p coefficient rows
-    return (coeffs @ basis) % p
+def _span(basis, p: int, k: int) -> list[list[int]]:
+    """Coordinates of every F_p combination of the basis elements."""
+    rows = [_linalg.pack(b.coords, p) for b in basis]
+    return [_linalg.unpack(_linalg.combine(cs, rows, p), p, k)
+            for cs in product(range(p), repeat=len(rows))]
 
 
 def additive_from_json(d: dict) -> AdditivePoly:

@@ -22,15 +22,14 @@ is exact and deterministic:
   through already-known smaller embeddings so that chains compose
   consistently within a session.
 
-Element arithmetic runs on plain Python ints: Frobenius powers and
-inverses (extended Euclid) in every field, products up to degree
-_NUMPY_MUL_DEGREE.  numpy int64 arrays mod p are used only where F_p
-matrices are built or solved: the Frobenius, product and embedding
-matrices, subfield detection for large targets, and products in fields of
-larger degree.  numpy is imported there, on first use, so a query that
-solves no matrix never loads it.
-The int64 sums stay exact while k * (p-1)^2 < 2^63, which FiniteField
-enforces.
+Element arithmetic runs on plain Python ints, and F_p matrices are lists of
+rows packed into ints by ``_linalg``.  A product in F_(p^k) is one
+Kronecker product of the two coordinate vectors, in slots of at least
+bit_length(k * p^2) + 1 bits (``_linalg``'s slot-width bound, so no slot
+carries into the next), folded back by the packed rows x^(k+j) mod the
+modulus; a Frobenius power combines cached packed rows; inverses come
+from extended Euclid.  Every p and k is supported, within time and
+memory.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import os
 import random
 from functools import reduce
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 from . import _linalg, _poly
 from .errors import (
@@ -58,14 +56,8 @@ from .errors import (
     _certify,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_BUDGET = 1 << 16
 
-# Above this extension degree, element products go through numpy; inverses
-# stay on extended Euclid, which is faster at every degree.
-_NUMPY_MUL_DEGREE = 24
 # Root finding scans K when |K| <= _SCAN_RATIO * (deg - 1) * bit_length(|K|).
 # A scan costs about |K| * deg products in K; Cantor-Zassenhaus about
 # deg * (deg - 1) * log|K| (powering modulo the polynomial, and nothing
@@ -208,8 +200,8 @@ def _fp_powmod(base, e: int, mu, p: int) -> tuple[int, ...]:
     return result
 
 
-def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[list[tuple[int, int]]]:
-    """Rows x^(i*e) mod mu for 0 <= i < k = deg(mu), as sparse rows.
+def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[int]:
+    """Packed rows x^(i*e) mod mu for 0 <= i < k = deg(mu).
 
     With e = p^j, row i holds the coordinates of (x^i)^(p^j): the rows of
     the transposed matrix of c -> c^(p^j).
@@ -221,40 +213,10 @@ def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[list[tuple[int, 
     rows = []
     cur: tuple[int, ...] = (1,)
     for i in range(k):
-        rows.append(_sparse_row(cur))
+        rows.append(_linalg.pack(cur + (0,) * (k - len(cur)), p))
         if i + 1 < k:
             cur = _fp_mulmod(xe, cur, mu, p)
     return rows
-
-
-def _sparse_row(coords) -> list[tuple[int, int]]:
-    """The nonzero entries of a coordinate vector as (index, value) pairs."""
-    return [(t, v) for t, v in enumerate(coords) if v]
-
-
-def _accumulate(out: list[int], coeffs, rows) -> list[int]:
-    """Add coeffs[i] * rows[i] to out in place, unreduced; rows are sparse.
-
-    Rows x^i mod mu of a sparse modulus are mostly sparse (the lexicographic
-    moduli are), and skipping their zeros beats a dense pass even on dense
-    rows, since no list is rebuilt per row.
-    """
-    for c, row in zip(coeffs, rows):
-        if c:
-            for t, v in row:
-                out[t] += c * v
-    return out
-
-
-def _rows_matrix(rows, k: int) -> np.ndarray:
-    """The sparse rows as a dense int64 matrix with k columns."""
-    import numpy as np
-
-    mat = np.zeros((len(rows), k), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for t, v in row:
-            mat[i, t] = v
-    return mat
 
 
 def _fp_is_irreducible(mu: tuple[int, ...], p: int) -> bool:
@@ -322,11 +284,6 @@ class FiniteField:
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise DegreeMismatch("extension degree must be positive")
-        # int64 coordinate products sum k terms below (p-1)^2
-        if k * (p - 1) ** 2 >= _linalg.INT64_LIMIT:
-            raise BadParameter(
-                f"GF({p}^{k}) is outside the supported range k*(p-1)^2 < 2^63"
-            )
         if modulus is None:
             modulus = _search_irreducible(p, k)
         else:
@@ -397,88 +354,38 @@ class FiniteField:
 
     # -- cached structure ----------------------------------------------------
 
-    def _reduction_rows(self) -> list[list[tuple[int, int]]]:
-        """Rows x^(k+j) mod modulus for 0 <= j < k-1, as sparse rows."""
+    def _reduction_rows(self) -> list[int]:
+        """x^(k+j) mod modulus for 0 <= j < k - 1, packed for ``mulmod``."""
         red = self._cache.get("red")
         if red is None:
             p, k, mu = self.p, self.k, self.modulus
-            red = []
-            cur = [(-mu[j]) % p for j in range(k)]  # x^k mod mu
-            for _ in range(k - 1):
-                red.append(_sparse_row(cur))
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    cur = [(c - top * m) % p for c, m in zip(cur, mu)]
-            self._cache["red"] = red
+            rows = [tuple(-m % p for m in mu[:k])]  # x^k; then multiply by x and reduce
+            while len(rows) < k - 1:
+                top = rows[-1][-1]
+                rows.append(tuple((a - top * m) % p for a, m in zip((0,) + rows[-1][:-1], mu)))
+            red = self._cache["red"] = _linalg.reduction(rows, p)
         return red
 
-    def _frobenius_rows(self, j: int) -> list[list[tuple[int, int]]]:
-        """Row i holds the coordinates of (x^i)^(p^j), for 0 <= i < k."""
+    def _frobenius_rows(self, j: int) -> list[int]:
+        """Packed row i holds the coordinates of (x^i)^(p^j), for 0 <= i < k."""
         rows = self._cache.get(("frob_rows", j))
         if rows is None:
             rows = _fp_power_rows(self.modulus, self.p, self.p**j)
             self._cache[("frob_rows", j)] = rows
         return rows
 
-    def frobenius_matrix(self) -> np.ndarray:
-        """Matrix of c -> c^p on coordinates (columns are basis images)."""
-        mat = self._cache.get("frob")
-        if mat is None:
-            mat = _rows_matrix(self._frobenius_rows(1), self.k).T.copy()
-            self._cache["frob"] = mat
-        return mat
-
-    def mult_matrix(self, elem: FieldElement) -> np.ndarray:
-        """Matrix of multiplication by elem on coordinates."""
-        import numpy as np
-
-        k = self.k
-        mat = np.zeros((k, k), dtype=np.int64)
-        cur = elem.coords
-        mat[:, 0] = cur
-        for j in range(1, k):
-            cur = self._shift_coords(cur)
-            mat[:, j] = cur
-        return mat
-
     # -- coordinate arithmetic ----------------------------------------------
-
-    def _shift_coords(self, c):
-        """Multiply by x and reduce."""
-        p, k, mu = self.p, self.k, self.modulus
-        top = c[-1]
-        out = [0] + list(c[:-1])
-        if top:
-            for t in range(k):
-                out[t] = (out[t] - top * mu[t]) % p
-        return tuple(v % p for v in out)
 
     def _mul_coords(self, a, b):
         p, k = self.p, self.k
         if k == 1:
             return ((a[0] * b[0]) % p,)
-        if k <= _NUMPY_MUL_DEGREE:
-            conv = [0] * (2 * k - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        conv[i + j] += ai * bj
-            out = _accumulate(conv[:k], conv[k:], self._reduction_rows())
-            return tuple(v % p for v in out)
-        import numpy as np
-
-        red = self._cache.get("red_np")
-        if red is None:
-            red = self._cache["red_np"] = _rows_matrix(self._reduction_rows(), k)
-        conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
-        out = conv[:k] + conv[k:] @ red
-        return tuple(int(v) for v in out % p)
+        return tuple(_linalg.mulmod(a, b, self._reduction_rows(), p))
 
     def _frobenius_coords(self, a, j: int):
         """Coordinates of a^(p^j) for 0 < j < k, from the cached rows for j."""
         p = self.p
-        return tuple(v % p for v in _accumulate([0] * self.k, a, self._frobenius_rows(j)))
+        return tuple(_linalg.unpack(_linalg.combine(a, self._frobenius_rows(j), p), p, self.k))
 
     def _inv_coords(self, a):
         p, k = self.p, self.k
@@ -850,7 +757,7 @@ def GF(p: int, k: int = 1) -> FiniteField:
 # Embeddings
 # ---------------------------------------------------------------------------
 
-_EMBED_CACHE: dict[tuple, np.ndarray] = {}
+_EMBED_CACHE: dict[tuple, list[int]] = {}
 
 
 def _roots_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> list[FieldElement]:
@@ -879,26 +786,21 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
             if not _poly.evaluate(coeffs, elem):
                 return elem
         raise NoEmbedding(f"no root of {mu} in {target!r}")
-    # Otherwise locate the subfield of order p^a, present mu over an
-    # abstract copy of it, where it splits into distinct linear factors,
-    # split it and map one root back.
-    import numpy as np
-
-    frob = target.frobenius_matrix()
-    mat = (_linalg.matpow(frob, a, p) - np.eye(target.k, dtype=np.int64)) % p
-    sub_basis = _linalg.nullspace(mat, p)
-    _certify(sub_basis.shape[0] == a,
-             f"the subfield of order {p}^{a} has dimension {sub_basis.shape[0]}")
-    gamma = None
-    for i in range(sub_basis.shape[0]):
-        cand = target.element(tuple(int(v) for v in sub_basis[i]))
-        if not cand.is_zero() and cand.degree_over_prime() == a:
-            gamma = cand
-            break
+    # Otherwise locate the subfield of order p^a, the kernel of Frob^a - 1,
+    # present mu over an abstract copy of it, where it splits into distinct
+    # linear factors, split it and map one root back.
+    k = target.k
+    images = [_linalg.unpack(row, p, k) for row in target._frobenius_rows(a)]  # (x^i)^(p^a)
+    frob_minus_one = [_linalg.pack([(images[i][s] - (s == i)) % p for i in range(k)], p)
+                      for s in range(k)]
+    sub_basis = [target.element(_linalg.unpack(row, p, k))
+                 for row in _linalg.nullspace(frob_minus_one, p, k)]
+    _certify(len(sub_basis) == a, f"the subfield of order {p}^{a} has dimension {len(sub_basis)}")
+    gamma = next((b for b in sub_basis if b and b.degree_over_prime() == a), None)
     if gamma is None:
         acc = target.zero()
-        for i in range(sub_basis.shape[0]):
-            acc = acc + target.element(tuple(int(v) for v in sub_basis[i]))
+        for b in sub_basis:
+            acc = acc + b
             if acc.degree_over_prime() == a:
                 gamma = acc
                 break
@@ -907,20 +809,22 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
         while gamma is None:
             coefs = [rng.randrange(p) for _ in range(a)]
             acc = target.zero()
-            for c, i in zip(coefs, range(a)):
-                acc = acc + target.element(tuple(int(v) for v in sub_basis[i])) * c
+            for c, b in zip(coefs, sub_basis):
+                acc = acc + b * c
             if not acc.is_zero() and acc.degree_over_prime() == a:
                 gamma = acc
     powers = [target.one()]
     for _ in range(a):
         powers.append(powers[-1] * gamma)
-    stack = np.array([e.coords for e in powers], dtype=np.int64)
-    dep = _linalg.nullspace(stack.T, p)  # rows: dependencies among 1..gamma^a
+    # dependencies among 1, gamma, ..., gamma^a: the kernel of the matrix
+    # whose columns are their coordinates
+    columns = [_linalg.pack(row, p) for row in zip(*(e.coords for e in powers))]
     minpoly = None
-    for row in dep:
-        if row[a] != 0:
-            inv = pow(int(row[a]), -1, p)
-            minpoly = tuple(int(v) * inv % p for v in row)
+    for row in _linalg.nullspace(columns, p, a + 1):
+        dep = _linalg.unpack(row, p, a + 1)
+        if dep[a] != 0:
+            inv = pow(dep[a], -1, p)
+            minpoly = tuple(v * inv % p for v in dep)
             break
     _certify(minpoly is not None and len(minpoly) == a + 1,
              f"no minimal polynomial of degree {a} for the subfield generator")
@@ -932,10 +836,9 @@ def _one_root_of_fp_poly(mu: tuple[int, ...], target: FiniteField) -> FieldEleme
     return beta
 
 
-def embedding_matrix(src: FiniteField, target: FiniteField) -> np.ndarray:
-    """Coordinate matrix of the session-fixed embedding src -> target."""
-    import numpy as np
-
+def embedding_matrix(src: FiniteField, target: FiniteField) -> list[int]:
+    """The session-fixed embedding src -> target as packed rows: row j is
+    the image of x^j, target.k entries."""
     if src.p != target.p:
         raise NoEmbedding("different characteristics")
     if target.k % src.k != 0:
@@ -944,35 +847,29 @@ def embedding_matrix(src: FiniteField, target: FiniteField) -> np.ndarray:
     mat = _EMBED_CACHE.get(key)
     if mat is not None:
         return mat
-    if src.key() == target.key():
-        mat = np.eye(src.k, dtype=np.int64)
-    else:
-        mat = _compose_via_cache(src, target)
+    mat = _compose_via_cache(src, target)
     if mat is None:
-        if src.k == 1:
-            mat = np.zeros((target.k, 1), dtype=np.int64)
-            mat[0, 0] = 1
-        else:
-            beta = _roots_of_fp_poly(src.modulus, target)[0]
-            mat = np.zeros((target.k, src.k), dtype=np.int64)
-            cur = target.one()
-            mat[:, 0] = cur.coords
-            for j in range(1, src.k):
-                cur = cur * beta
-                mat[:, j] = cur.coords
+        # x goes to itself, or to the least root of src's modulus in target;
+        # for src.k = 1 only x^0 = 1 has an image
+        same = src.key() == target.key() or src.k == 1
+        beta = target.gen() if same else _roots_of_fp_poly(src.modulus, target)[0]
+        powers = accumulate(range(src.k - 1), lambda y, _: y * beta, initial=target.one())
+        mat = [_linalg.pack(y.coords, src.p) for y in powers]
     _EMBED_CACHE[key] = mat
     return mat
 
 
-def _compose_via_cache(src: FiniteField, target: FiniteField) -> np.ndarray | None:
+def _compose_via_cache(src: FiniteField, target: FiniteField) -> list[int] | None:
     # Route through an already-chosen intermediate so towers stay coherent.
+    p = src.p
     for (a_key, b_key), m1 in list(_EMBED_CACHE.items()):
         if a_key == src.key() and b_key != target.key():
             mid_k = b_key[1]
             if target.k % mid_k == 0 and mid_k > src.k:
                 m2 = _EMBED_CACHE.get((b_key, target.key()))
                 if m2 is not None:
-                    return _linalg.matmul(m2, m1, src.p)
+                    return [_linalg.reduce(_linalg.combine(_linalg.unpack(row, p, mid_k), m2, p),
+                                           p, target.k) for row in m1]
     return None
 
 
@@ -984,8 +881,8 @@ def embed(x: FieldElement, target: FiniteField) -> FieldElement:
         if x.field.p != target.p:
             raise NoEmbedding("different characteristics")
         return FieldElement(target, x.coords + (0,) * (target.k - 1))
-    vec = _linalg.matmul(embedding_matrix(x.field, target), x.coords, target.p)
-    return FieldElement(target, tuple(int(v) for v in vec))
+    p, rows = target.p, embedding_matrix(x.field, target)
+    return FieldElement(target, tuple(_linalg.unpack(_linalg.combine(x.coords, rows, p), p, target.k)))
 
 
 def common_overfield(*fields: FiniteField) -> FiniteField:

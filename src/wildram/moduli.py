@@ -45,6 +45,9 @@ from .errors import BadParameter, DegreeMismatch, Inseparable, NotAdditiveShape,
 from .ff import (GF, FieldElement, FiniteField, FqPoly, common_overfield, embed, require,
                  solve_power)
 
+# census() reports the conjugacy witnesses of this many pairs
+WITNESS_SAMPLES = 3
+
 
 def _parse_additive_with_constant(g) -> tuple[FiniteField, list[FieldElement], FieldElement]:
     """Split input into (field, additive coefficients a_0..a_m, constant)."""
@@ -315,7 +318,7 @@ def closed_form_histogram(p: int, m: int, q: int) -> dict[int, int]:
     return hist
 
 
-def census(p: int, m: int, q: int, keep_witnesses: int = 3) -> CensusReport:
+def census(p: int, m: int, q: int) -> CensusReport:
     """Partition the monic separable additive maps over F_q by conjugacy.
 
     The class of a map of support S is its orbit under a_i -> a_i t^(1 - p^i),
@@ -326,7 +329,7 @@ def census(p: int, m: int, q: int, keep_witnesses: int = 3) -> CensusReport:
     class_count(p, m, q) = sum over S of (q-1)^(|S|+1) s_S/h_S, and each
     size must meet the (p^m - 1) * |Fix| bound, |Fix| = p^M for M the
     Frobenius degree of the separable fixed-point core.  ``witness_samples``
-    are the first ``keep_witnesses`` pairs (least member, member), classes in
+    are the first WITNESS_SAMPLES pairs (least member, member), classes in
     order of their z-coefficient, each found and verified by ``are_conjugate``.
     """
     if m < 1:
@@ -375,7 +378,7 @@ def census(p: int, m: int, q: int, keep_witnesses: int = 3) -> CensusReport:
     pairs = ((c[0], j) for c in sorted(classes, key=lambda c: polys[c[0]].coeffs[0].coords)
              for j in sorted(c[1:]))
     witness_samples = []
-    for i, j in islice(pairs, keep_witnesses):
+    for i, j in islice(pairs, WITNESS_SAMPLES):
         w = are_conjugate(polys[i], polys[j])
         _certify(w is not None, "members of one orbit are not conjugate")
         gamma, delta = w.affine_parts()

@@ -27,16 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from . import _linalg
 from .addpoly import AdditivePoly, RootSpace, is_separable, root_space
 from .dynsys import ProjPoint, RationalMap, ram_profile
 from .errors import BadParameter, Inseparable, NotPolynomial, NotPrime, _certify
 from .ff import is_prime, require
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +103,10 @@ def stabilizer_orders(action: GroupAction) -> list[int]:
 # Monodromy levels and towers
 # ---------------------------------------------------------------------------
 
-def _coords(elems) -> np.ndarray:
-    import numpy as np
-
-    return np.array([x.coords for x in elems], dtype=np.int64)
+def _rank(elems) -> int:
+    """Rank over F_p of the coordinate vectors of elements of one field."""
+    K = elems[0].field
+    return _linalg.rank([_linalg.pack(x.coords, K.p) for x in elems], K.p, K.k)
 
 
 class TranslationAction(GroupAction):
@@ -152,7 +148,7 @@ class TranslationAction(GroupAction):
         K = self.space.field
         if getattr(g, "field", None) != K:
             raise KeyError(g)
-        if _linalg.rank(_coords(self.space.basis + (g,)), K.p) != self.rank:  # g is not in Z_n
+        if _rank(self.space.basis + (g,)) != self.rank:  # g is not in Z_n
             raise KeyError(g)
         return 1 if g.is_zero() else K.p
 
@@ -252,11 +248,9 @@ def tower(f: AdditivePoly, N: int) -> Tower:
     for n in range(2, N + 1):
         upper, lower = levels[n - 1], levels[n - 2]
         images = tuple(fK.evaluate(b) for b in upper.space.basis)
-        rows = _coords(images)
-        stacked = _coords(lower.space.basis + images)
-        _certify(_linalg.rank(stacked, p) == lower.action.rank,
+        _certify(_rank(lower.space.basis + images) == lower.action.rank,
                  "projection left the lower root space")
-        rank = _linalg.rank(rows, p)
+        rank = _rank(images)
         _certify(rank == m * (n - 1), "projection must be onto")
         kernel = p ** (m * n - rank)
         _certify(kernel == p**m, f"kernel size {kernel} != p^m")

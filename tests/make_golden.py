@@ -28,10 +28,12 @@ def commands() -> dict[str, list[str]]:
     return json.loads((GOLDEN / "commands.json").read_text())
 
 
-def run(argv: list[str]) -> tuple[bytes, int]:
-    """stdout and exit code of `wildram argv` in a new interpreter."""
+def run(argv: list[str], first_on_path=()) -> tuple[bytes, int]:
+    """stdout and exit code of `wildram argv` in a new interpreter, with
+    the directories first_on_path ahead of src/ on its PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if k != "WILDRAM_BUDGET"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    path = [*map(str, first_on_path), str(SRC), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
     proc = subprocess.run([sys.executable, "-m", "wildram.cli", *argv], cwd=GOLDEN,
                           env=env, capture_output=True, timeout=300)
     return proc.stdout, proc.returncode

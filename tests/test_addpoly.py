@@ -298,10 +298,11 @@ def test_corrupted_basis_fails_under_python_O():
         assert False, "asserts are on"
         real = _linalg.row_space_basis
 
-        def shifted(mat, p):
-            rows = real(mat, p).copy()
-            rows[0, 0] = (rows[0, 0] + 1) % p
-            return rows
+        def shifted(mat, p, n):
+            rows = real(mat, p, n)
+            first = _linalg.unpack(rows[0], p, n)
+            first[0] = (first[0] + 1) % p
+            return [_linalg.pack(first, p)] + rows[1:]
 
         _linalg.row_space_basis = shifted
         try:

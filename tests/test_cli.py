@@ -254,48 +254,6 @@ def test_deterministic_across_processes():
         assert run(args) == run(args)
 
 
-def test_numpy_loads_only_where_matrices_are_solved(tmp_path):
-    # A fresh interpreter reports [numpy after `import wildram`, exit code,
-    # numpy after the command]; only F_p matrix work may import numpy.
-    import subprocess
-    import sys
-
-    child = (
-        "import json, sys\n"
-        "import wildram\n"
-        "before = 'numpy' in sys.modules\n"
-        "from wildram.cli import main\n"
-        "code = main(json.loads(sys.argv[1]))\n"
-        "sys.stderr.write(json.dumps([before, code, 'numpy' in sys.modules]))\n"
-    )
-
-    def run(*argv):
-        proc = subprocess.run([sys.executable, "-c", child, json.dumps(argv)],
-                              capture_output=True, text=True, timeout=120)
-        return json.loads(proc.stderr.splitlines()[-1])
-
-    # z^3 + 5z + 1 over F_7: its critical points need F_49
-    cubic = write_map_json(tmp_path, "cubic.json", {
-        "domain": {"kind": "finite_field", "p": 7, "k": 1, "modulus": [0, 1]},
-        "num": [[1], [5], [0], [1]], "den": [[1]]})
-    prime = write_additive_json(tmp_path, "g.json", 5, 1, [[2], [0], [3]])
-    for argv in (
-        ["identities", "--p", "5", "--json"],
-        ["locus", "--p", "3", "--m", "1", "--n", "1", "--json"],
-        ["lift", "--p", "3", "--a", "2", "--reduce", "--sbar", "0,1", "--sbar-degree", "2", "--json"],
-        ["pco", "--map", cubic, "--json"],
-        ["normal-form", "--map", prime, "--json"],
-        ["census", "--p", "3", "--m", "1", "--q", "9", "--json"],
-    ):
-        assert run(*argv) == [False, 0, False], argv
-    # a census with witness samples finds the splitting degree of a
-    # fixed-point core, and products above degree 24 run on numpy: numpy is
-    # loaded there
-    assert run("census", "--p", "2", "--m", "2", "--q", "4", "--json") == [False, 0, True]
-    big = ["lift", "--p", "3", "--a", "1", "--reduce", "--sbar", "1", "--sbar-degree", "25", "--json"]
-    assert run(*big) == [False, 0, True]
-
-
 def test_usage_error_exit_code(capsys):
     code = main(["census", "--p", "3"])  # missing required flags
     assert code == 2

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
 
 from wildram import ff
 from wildram.errors import (
-    BadParameter,
     BudgetExceeded,
     NoEmbedding,
     NotPrime,
@@ -16,6 +16,7 @@ from wildram.errors import (
     ZeroBase,
     ZeroPolynomial,
 )
+from wildram._linalg import unpack
 from wildram.ff import GF, FqPoly, embed, make_field, roots_in, solve_power, splitting_degree, squarefree_factor
 
 from oracles import root_degree, scanning_solve_power
@@ -103,15 +104,15 @@ def test_large_prime_field_first_use_is_fast():
     # building a field and its Frobenius table must cost polylog(p), not poly(p)
     t0 = time.perf_counter()
     F = ff.FiniteField(30011, 2)
-    F.frobenius_matrix()
-    assert time.perf_counter() - t0 < 0.5
     x = F.gen()
+    x.frobenius()
+    assert time.perf_counter() - t0 < 0.5
     assert x.frobenius() == x**30011
 
 
 def test_int64_range_guard():
     p = 2**31 - 1
-    F = GF(p, 2)  # 2 * (p-1)^2 < 2^63
+    F = GF(p, 2)
     assert F.modulus == (1, 0, 1)
     x = F.gen()
     assert x.frobenius() == x**p == -x
@@ -120,8 +121,11 @@ def test_int64_range_guard():
     z = FqPoly.x(F)
     f = (z - FqPoly(F, [r1])) * (z - FqPoly(F, [r2]))
     assert roots_in(f, F) == [(r1, 1), (r2, 1)]
-    with pytest.raises(BadParameter):
-        ff.FiniteField(p, 3)  # 3 * (p-1)^2 >= 2^63
+    K = GF(p, 3)  # 3 * (p-1)^2 >= 2^63: its products overflow any int64 sum
+    rng = random.Random(3)
+    for y in [K.gen(), K.element([p - 1] * 3)] + [K.element_from_index(rng.randrange(K.order)) for _ in range(8)]:
+        assert y**p == y.frobenius()
+        assert y * y.inverse() == K.one()
 
 
 def test_field_axioms_random():
@@ -142,15 +146,33 @@ def test_field_axioms_random():
                 assert (x + y) ** F.p == x**F.p + y**F.p
 
 
-@pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
-def test_python_product_matches_numpy_route(p, k, monkeypatch):
+PRODUCT_FIELDS = [(p, k) for k in (2, 3, 4, 5, 6, 24, 25, 48) for p in (2, 3)] + [(2**31 - 1, 3)]
+
+
+@pytest.mark.parametrize("p,k", PRODUCT_FIELDS)
+def test_products_match_sympy(p, k):
+    # the Kronecker product and its packed reduction against sympy's
+    # polynomial product reduced mod the modulus
     F = GF(p, k)
-    rng = random.Random(k)
-    pairs = [tuple(F.element_from_index(rng.randrange(F.order)) for _ in range(2)) for _ in range(200)]
-    pairs.append((F.element_from_index(F.order - 1),) * 2)  # every coordinate p - 1
-    python = [a * b for a, b in pairs]
-    monkeypatch.setattr(ff, "_NUMPY_MUL_DEGREE", k - 1)
-    assert [a * b for a, b in pairs] == python
+    x = symbols("x")
+    mu = Poly(list(reversed(F.modulus)), x, modulus=p)
+
+    def as_poly(e):
+        return Poly(list(reversed(e.coords)), x, modulus=p)
+
+    def coords(poly):
+        cs = [int(c) % p for c in reversed(poly.all_coeffs())]
+        return tuple(cs + [0] * (k - len(cs)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, p - 1), min_size=2 * k, max_size=2 * k))
+    def check(flat):
+        a, b = F.element(flat[:k]), F.element(flat[k:])
+        assert (a * b).coords == coords((as_poly(a) * as_poly(b)).rem(mu))
+
+    check()
+    top = F.element([p - 1] * k)  # every coordinate p - 1: the fullest slots
+    assert (top * top).coords == coords((as_poly(top) ** 2).rem(mu))
 
 
 def test_frobenius_matrix_agrees_with_powering():
@@ -163,7 +185,7 @@ def test_frobenius_matrix_agrees_with_powering():
 
 @pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (101, 2), (2, 30)])
 def test_frobenius_powers_match_powering(p, k, monkeypatch):
-    # cached per-j int rows on both sides of _NUMPY_MUL_DEGREE
+    # cached per-j int rows
     F = GF(p, k)
     rng = random.Random(p * k)
     xs = [F.gen()] + [F.element_from_index(rng.randrange(F.order)) for _ in range(3)]
@@ -180,10 +202,10 @@ def test_embed_from_prime_field_matches_embedding_matrix(src, fresh_embeddings):
     Fp = make_field(p, 1, modulus)
     for k in (1, 2, 3, 30 if p == 2 else 4):
         K = GF(p, k)
-        mat = ff.embedding_matrix(Fp, K)
+        (row,) = ff.embedding_matrix(Fp, K)
         for c in range(min(p, 7)):
             x = Fp.from_int(c)
-            assert embed(x, K) == K.element(mat @ np.array(x.coords)), (p, k, c)
+            assert embed(x, K) == K.element([c * v for v in unpack(row, p, k)]), (p, k, c)
     with pytest.raises(NoEmbedding):
         embed(Fp.one(), GF(7, 2))
 
@@ -229,7 +251,10 @@ def test_embed_composes_through_cached_intermediates(fresh_embeddings):
     m1 = ff.embedding_matrix(F4, F16)
     m2 = ff.embedding_matrix(F16, F256)
     direct = ff.embedding_matrix(F4, F256)
-    assert np.array_equal(direct, (m2 @ m1) % 2)
+    # row j of each is the image of x^j; composing maps row j of m1 through m2
+    composite = [[sum(a * b for a, b in zip(unpack(row, 2, 4), column)) % 2
+                  for column in zip(*(unpack(r, 2, 8) for r in m2))] for row in m1]
+    assert [unpack(row, 2, 8) for row in direct] == composite
     for x in F4.elements():
         assert embed(x, F256) == embed(embed(x, F16), F256)
 
@@ -254,7 +279,7 @@ def test_embedding_sends_generator_to_smallest_root(p, fresh_embeddings):
     for d, e in embedding_pairs(12):
         ff._EMBED_CACHE.clear()  # chained routes may pick another root (D1)
         S, T = GF(p, d), GF(p, e)
-        beta = T.element(ff.embedding_matrix(S, T)[:, 1])
+        beta = T.element(unpack(ff.embedding_matrix(S, T)[1], p, e))
         assert FqPoly.from_ints(T, S.modulus).evaluate(beta).is_zero()
         # the roots of an irreducible modulus are the Frobenius orbit of one root
         orbit = [beta]
@@ -275,7 +300,7 @@ def test_embedding_roots_agree_on_both_routes(p, fresh_embeddings, monkeypatch):
             monkeypatch.setattr(ff, "_scan_is_cheaper", lambda order, deg, s=scan: s)
             ff._EMBED_CACHE.clear()
             mats.append(ff.embedding_matrix(S, T))
-        assert np.array_equal(mats[0], mats[1]), (d, e)
+        assert mats[0] == mats[1], (d, e)
 
 
 def all_values(f, K):
