@@ -25,6 +25,7 @@ from .ff import (
     FqPoly,
     embed,
     field_from_json,
+    json_ints,
     require,
 )
 
@@ -343,7 +344,7 @@ def _span(basis, p: int, k: int) -> list[list[int]]:
 
 def additive_from_json(d: dict) -> AdditivePoly:
     F = field_from_json(d["field"])
-    return AdditivePoly(F, [F.element(c) for c in d["a"]])
+    return AdditivePoly(F, [F.element(json_ints(c, "a coordinate vector")) for c in d["a"]])
 
 
 def root_space(f: AdditivePoly, n: int, *, ambient: FiniteField | None = None) -> RootSpace:

@@ -22,7 +22,7 @@ from .cyclotomic import verify_cyclotomic_identities
 from .domains import coeff_from_json, domain_from_json
 from .dynsys import RationalMap, post_critical_orbit
 from .errors import BadInput, BudgetExceeded, CertificateFailed, WildramError
-from .ff import GF, FqPoly, field_from_json
+from .ff import GF, FqPoly, field_from_json, json_ints
 from .gmlift import (
     build_lift,
     lift_critical_data,
@@ -85,7 +85,7 @@ def _load_additive(path: str) -> AdditivePoly:
         if "a" in data:
             return additive_from_json(data)
         F = field_from_json(data["field"])
-        poly = FqPoly(F, [F.element(c) for c in data["coeffs"]])
+        poly = FqPoly(F, [F.element(json_ints(c, "a coordinate vector")) for c in data["coeffs"]])
     add = recognize_additive(poly)
     if add is None:
         raise WildramError("input polynomial is not additive")

@@ -429,8 +429,9 @@ class SRingElement:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def is_zero(self) -> bool:
@@ -504,6 +505,17 @@ class SRing:
         coeffs = [CyclotomicNumber.from_rational(self.p, 0)] * (self.p - 1)
         coeffs[1] = CyclotomicNumber.from_rational(self.p, 1)
         return SRingElement(self, coeffs)
+
+    def specialize(self, coeffs) -> SRingElement:
+        """Image of sum_e coeffs[e] s^e (s free) under the ring map s^e ->
+        a^(e div (p-1)) s^(e mod (p-1)); at p = 2, s^e -> a^e as ``s()`` says."""
+        n = self.p - 1
+        out = [CyclotomicNumber.from_rational(self.p, 0)] * n
+        for e, c in enumerate(coeffs):
+            if c:
+                q, r = divmod(e, n)
+                out[r] = out[r] + (c * self.a**q if q else c)
+        return SRingElement(self, out)
 
     def invert(self, x: SRingElement) -> SRingElement:
         """Inverse via extended Euclid against s^(p-1) - a; ZeroDivisor if stuck."""

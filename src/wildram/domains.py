@@ -17,8 +17,8 @@ from math import gcd, lcm
 from . import _poly
 from . import ff as _ff
 from .cyclotomic import CyclotomicNumber
-from .errors import UnsupportedExtension, ZeroPolynomial
-from .ff import GF, FiniteField, FqPoly, embed
+from .errors import BadInput, UnsupportedExtension, ZeroPolynomial
+from .ff import GF, FiniteField, FqPoly, embed, json_ints
 
 
 class FiniteFieldDomain:
@@ -285,15 +285,22 @@ def domain_from_json(d) -> FiniteFieldDomain | RationalDomain | CyclotomicDomain
     if kind == "rationals":
         return RationalDomain()
     if kind == "cyclotomic":
-        return CyclotomicDomain(int(d["p"]))
+        return CyclotomicDomain(*json_ints([d["p"]], "the cyclotomic domain's p"))
     raise ValueError(f"unknown domain kind {kind!r}")
+
+
+def _json_fraction(pair) -> Fraction:
+    n, d = json_ints(pair, "a fraction [numerator, denominator]")
+    if d == 0:
+        raise BadInput(f"zero denominator in {pair!r}")
+    return Fraction(n, d)
 
 
 def coeff_from_json(domain, data):
     if isinstance(domain, FiniteFieldDomain):
-        return domain.field.element(data)
+        return domain.field.element(json_ints(data, "a coordinate vector"))
     if isinstance(domain, RationalDomain):
-        return Fraction(data[0], data[1])
+        return _json_fraction(data)
     if isinstance(domain, CyclotomicDomain):
-        return CyclotomicNumber(domain.p, [Fraction(n, m) for n, m in data])
+        return CyclotomicNumber(domain.p, [_json_fraction(c) for c in data])
     raise ValueError("unknown domain")

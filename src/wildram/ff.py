@@ -43,6 +43,7 @@ from itertools import accumulate
 
 from . import _linalg, _poly
 from .errors import (
+    BadInput,
     BadParameter,
     BudgetExceeded,
     CertificateFailed,
@@ -1179,8 +1180,17 @@ def field_to_json(F: FiniteField) -> dict:
     return {"p": F.p, "k": F.k, "modulus": list(F.modulus)}
 
 
+def json_ints(data, what: str) -> list:
+    """data if it is a list of JSON integers (not bool, float or string), else BadInput."""
+    if type(data) is not list or any(type(v) is not int for v in data):
+        raise BadInput(f"{what} must be JSON integers, got {data!r}")
+    return data
+
+
 def field_from_json(d: dict) -> FiniteField:
-    return make_field(int(d["p"]), int(d["k"]), d.get("modulus"))
+    p, k = json_ints([d["p"], d["k"]], "a field's p and k")
+    modulus = d.get("modulus")
+    return make_field(p, k, None if modulus is None else json_ints(modulus, "a field modulus"))
 
 
 def element_to_json(x: FieldElement) -> list[int]:

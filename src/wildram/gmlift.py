@@ -2,10 +2,18 @@
 
 The lift is f(z) = ((lambda z + s)^p - s^p)/lambda^p with lambda = zeta_p - 1,
 built over the specialized ring Q(zeta_p)[s]/(s^(p-1) - a); only the PCF
-locus treats s as a free symbol.  Expanding the binomial gives the z^(p-i)
-coefficient binom(p, i) s^i / lambda^i, whose cyclotomic part has
-lambda-valuation p - 1 - i: every middle coefficient dies mod p and the
-reduction is z^p - cz with c = sbar^(p-1).
+locus and the per-prime sides below treat s as a free symbol.  Expanding
+the binomial gives the z^(p-i) coefficient binom(p, i) s^i / lambda^i,
+whose cyclotomic part has lambda-valuation p - 1 - i: every middle
+coefficient dies mod p and the reduction is z^p - cz with c = sbar^(p-1).
+
+The identities behind the lift are certified without expanding anything
+per a.  ``lift_sides(p)`` expands three a-free sides once per prime over
+Q(zeta_p)[s] with s free: D = ((lambda z + s)^p - s^p)/lambda^p,
+R = (p/lambda^(p-1))(lambda z + s)^(p-1) and P = (z + s/lambda)^p.  Each
+call maps them to its ring by the homomorphism ``SRing.specialize``
+(s^(p-1) -> a) and compares D with the closed form, R with the derivative
+and P with the fiber L - L(-s/lambda), all three computed for that a.
 
 The finite critical point -s/lambda escapes for generic parameters: once
 v(lambda z) < v(s), the (lambda z)^p term dominates (lambda z + s)^p - s^p
@@ -18,6 +26,7 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, inf
 
 from . import _poly
@@ -163,13 +172,51 @@ class LiftPoly:
         }
 
 
+@dataclass(frozen=True)
+class LiftSides:
+    """The a-free sides D, R and P at one prime p (module docstring): their
+    z-coefficients, each the list of its coefficients on s^0, s^1, ..."""
+
+    lam_inv: CyclotomicNumber  # 1/lambda
+    lam_inv_p: CyclotomicNumber  # 1/lambda^p
+    D: tuple
+    R: tuple
+    P: tuple
+
+
+@lru_cache(maxsize=32)
+def lift_sides(p: int) -> LiftSides:
+    """The sides at p, each expanded in one variable t with z = t, s = t^B
+    (Kronecker substitution): z-degrees stay below B, so z^j s^e is
+    t^(j + B e).  BudgetExceeded beyond ``check_cyclotomic_budget`` first."""
+    check_cyclotomic_budget(p)
+    B = p + 1
+    zero, one = CyclotomicNumber.from_rational(p, 0), CyclotomicNumber.from_rational(p, 1)
+    lam = CyclotomicNumber.lam(p)
+    lam_inv = one / lam
+    lam_inv_p = lam_inv**p
+    s = [zero] * B + [one]
+    linear = _poly.add([zero, lam], s)  # lambda z + s
+    D = _poly.scale(_poly.sub(_poly.pow(linear, p), _poly.pow(s, p)), lam_inv_p)
+    R = _poly.scale(_poly.pow(linear, p - 1), p / lam ** (p - 1))
+    P = _poly.pow(_poly.add([zero, one], _poly.scale(s, lam_inv)), p)  # z + s/lambda
+    return LiftSides(lam_inv, lam_inv_p, *(tuple(f[j::B] for j in range(B)) for f in (D, R, P)))
+
+
+def _specialized(side: tuple, ring: SRing) -> list:
+    """A side of ``lift_sides`` mapped into ring by s^(p-1) -> a, trimmed."""
+    return _poly.trim(ring.specialize(c) for c in side)
+
+
 def build_lift(p: int, a: int | None = None) -> LiftPoly:
     """Construct the lift; the closed form is cross-checked by expansion.
 
     Closed form: coefficient of z^(p-i) is binom(p, i) s^i / lambda^i for
     0 <= i <= p-1, constant term 0; the cyclotomic part of the z^(p-i)
-    coefficient has lambda-valuation p-1-i for 1 <= i <= p-1.  A mismatch
-    raises CertificateFailed; p beyond ``check_cyclotomic_budget`` raises
+    coefficient has lambda-valuation p-1-i for 1 <= i <= p-1.  It is built
+    on every call and compared with D of ``lift_sides(p)``, expanded once
+    per prime with s free and specialized to this a.  A mismatch raises
+    CertificateFailed; p beyond ``check_cyclotomic_budget`` raises
     BudgetExceeded before any arithmetic.
     """
     if not is_prime(p):
@@ -179,20 +226,17 @@ def build_lift(p: int, a: int | None = None) -> LiftPoly:
         raise BadParameter("the lift needs the parameter a")
     if a == 0 or (a % p == 0 and p != 2):
         raise BadParameter(f"p must not divide a (got a={a})")
-    lam = CyclotomicNumber.lam(p)
+    sides = lift_sides(p)
     ring = SRing(p, a)
     s = ring.s()
-    coeffs = [ring.zero()]
-    for j in range(1, p + 1):
-        i = p - j
-        unit = ring.scalar(CyclotomicNumber.from_rational(p, comb(p, i)) / lam**i)
-        coeffs.append(unit * s**i)
-    # independent check: expand by repeated multiplication in the s-ring
-    zpoly = RPoly(ring, [s, ring.scalar(lam)])  # lambda z + s
-    direct = zpoly**p - RPoly(ring, [s**p])
-    direct = direct * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p)
+    terms = []  # terms[i] is the z^(p-i) coefficient
+    lam_inv_i, s_i = CyclotomicNumber.from_rational(p, 1), ring.one()
+    for i in range(p):
+        terms.append(ring.scalar(lam_inv_i * comb(p, i)) * s_i)
+        lam_inv_i, s_i = lam_inv_i * sides.lam_inv, s_i * s
+    coeffs = [ring.zero(), *reversed(terms)]
     _certify(
-        list(direct.coeffs) == _poly.trim(coeffs),
+        _specialized(sides.D, ring) == _poly.trim(coeffs),
         "closed form disagrees with the direct expansion",
     )
     lift = LiftPoly(p, a, ring, tuple(coeffs))
@@ -260,28 +304,26 @@ def lift_critical_data(L: LiftPoly) -> LiftCriticalData:
 
     Verified exactly: the derivative equals (p/lambda^(p-1))(lambda z + s)^(p-1)
     and the fiber over the critical value is the p-th power ((lambda z + s)/lambda)^p,
-    which is the ram_profile [p] statement in closed form.
+    which is the ram_profile [p] statement in closed form.  The right-hand
+    sides are R and P of ``lift_sides(p)`` specialized to L's a; the
+    derivative, L(-s/lambda) and the fiber are computed from L every call.
     """
     ring: SRing = L.ring
     p = L.p
-    lam = CyclotomicNumber.lam(p)
+    sides = lift_sides(p)
     s = ring.s()
-    lam_inv = ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam)
-    crit_pt = -s * lam_inv
-    # derivative identity
-    deriv = RPoly(ring, [L.coeffs[j] * j for j in range(1, p + 1)])
-    unit = ring.scalar(CyclotomicNumber.from_rational(p, p) / lam ** (p - 1))
-    rhs = RPoly(ring, [s, ring.scalar(lam)]) ** (p - 1) * unit
-    _certify(deriv == rhs, "derivative formula failed")
+    crit_pt = -s * ring.scalar(sides.lam_inv)
+    deriv = _poly.deriv(L.coeffs)
+    _certify(deriv == _specialized(sides.R, ring), "derivative formula failed")
     # critical value and the p-th power fiber identity
     value = L.evaluate(crit_pt)
     _certify(
-        value == -(s**p) * ring.scalar(CyclotomicNumber.from_rational(p, 1) / lam**p),
+        value == -(s**p) * ring.scalar(sides.lam_inv_p),
         "critical value is not -s^p/lambda^p",
     )
-    fiber = RPoly(ring, list(L.coeffs)) - RPoly(ring, [value])
-    pth = RPoly(ring, [s * lam_inv, ring.one()])  # z + s/lambda
-    _certify(fiber == pth**p, "fiber over the critical value is not a p-th power")
+    fiber = _poly.sub(L.coeffs, [value])
+    _certify(fiber == _specialized(sides.P, ring),
+             "fiber over the critical value is not a p-th power")
     return LiftCriticalData(
         critical_points=((None, p), (crit_pt, p)),
         critical_value=value,

@@ -238,6 +238,8 @@ def are_conjugate(g1: AdditivePoly, g2: AdditivePoly) -> Pgl2 | None:
     over the common overfield of the set's field and g2's field.  Fix(g1)
     enters only through its field, F_q extended by the splitting degree of
     the fixed-point core; the witness is verified in the composition ring.
+    Maps whose supports {i : a_i != 0} differ are answered None before any
+    field work, and the p^m - 1 scalings are gated by ``require``.
     """
     F, p, m = g1.field, g1.field.p, g1.frobenius_degree
     if p != g2.field.p or m != g2.frobenius_degree:
@@ -246,6 +248,9 @@ def are_conjugate(g1: AdditivePoly, g2: AdditivePoly) -> Pgl2 | None:
         raise NotAdditiveShape("both maps must be monic additive; see to_monic_additive")
     if F == g2.field and g1.coeffs[0] != g2.coeffs[0]:
         return None  # the multiplier at the fixed point 0 is an invariant
+    if [c.is_zero() for c in g1.coeffs] != [c.is_zero() for c in g2.coeffs]:
+        return None  # z -> gamma z with gamma != 0 keeps the support {i : a_i != 0}
+    require(f"the scalings gamma in F_({p}^{m})^*, p^m - 1", p**m - 1)
     units = GF(p, m)
     cs_field = common_overfield(F, units, GF(p, F.k * _fixed_point_core(g1).splitting_degree()))
     E = common_overfield(cs_field, g2.field)

@@ -1,12 +1,18 @@
-"""Dense root-finding routes kept as differential oracles.
+"""Earlier library routes kept as differential oracles.
 
-These were the library's routes for the scaling and the translation of a
-monic additive normal form before both became linear algebra and
-exponentiation: the least root of z^n - a found by ``roots_in`` (a scan of
-the field, or Cantor-Zassenhaus splitting), and the least root of the dense
-degree-p^m polynomial L(z) - r in the field that ``splitting_degree`` finds
-by distinct-degree factorization.  Their cost grows with the field order
-and with p^m, so tests run them on small grids only.
+Dense root finding: these were the library's routes for the scaling and
+the translation of a monic additive normal form before both became linear
+algebra and exponentiation: the least root of z^n - a found by
+``roots_in`` (a scan of the field, or Cantor-Zassenhaus splitting), and the
+least root of the dense degree-p^m polynomial L(z) - r in the field that
+``splitting_degree`` finds by distinct-degree factorization.  Their cost
+grows with the field order and with p^m, so tests run them on small grids
+only.
+
+Per-a lift expansions: ((lambda z + s)^p - s^p)/lambda^p, its derivative
+side and its critical fiber expanded by repeated multiplication inside
+Q(zeta_p)[s]/(s^(p-1) - a) for each a, where the library expands them once
+per prime with s free and specializes.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from __future__ import annotations
 import math
 
 from wildram.addpoly import AdditivePoly
+from wildram.cyclotomic import CyclotomicNumber, SRing
 from wildram.ff import GF, FqPoly, common_overfield, embed, roots_in, splitting_degree
+from wildram.gmlift import LiftCriticalData, LiftPoly, RPoly
 from wildram.moduli import _affine_conjugate_additive, _parse_additive_with_constant
 
 
@@ -64,3 +72,30 @@ def dense_monic_form(g):
         b, coeffs, const = embed(b, E), [embed(a, E) for a in coeffs], embed(const, E)
         monic, new_const = _affine_conjugate_additive(coeffs, const, b, c)
     return E, monic, b, c
+
+
+def expanded_lift(p: int, a: int) -> LiftPoly:
+    """The lift whose coefficients are ((lambda z + s)^p - s^p)/lambda^p
+    expanded by repeated multiplication in Q(zeta_p)[s]/(s^(p-1) - a)."""
+    lam = CyclotomicNumber.lam(p)
+    ring = SRing(p, a)
+    s = ring.s()
+    direct = RPoly(ring, [s, ring.scalar(lam)]) ** p - RPoly(ring, [s**p])
+    return LiftPoly(p, a, ring, (direct * ring.scalar(1 / lam**p)).coeffs)
+
+
+def expanded_critical_data(L: LiftPoly) -> LiftCriticalData:
+    """Critical data of L, its derivative and fiber identities checked
+    against (p/lambda^(p-1))(lambda z + s)^(p-1) and (z + s/lambda)^p
+    expanded in L's own ring."""
+    ring, p = L.ring, L.p
+    lam = CyclotomicNumber.lam(p)
+    s = ring.s()
+    crit_pt = -s * ring.scalar(1 / lam)
+    deriv = RPoly(ring, [L.coeffs[j] * j for j in range(1, p + 1)])
+    assert deriv == RPoly(ring, [s, ring.scalar(lam)]) ** (p - 1) * ring.scalar(p / lam ** (p - 1))
+    value = L.evaluate(crit_pt)
+    assert value == -(s**p) * ring.scalar(1 / lam**p)
+    fiber = RPoly(ring, L.coeffs) - RPoly(ring, [value])
+    assert fiber == RPoly(ring, [-crit_pt, ring.one()]) ** p
+    return LiftCriticalData(((None, p), (crit_pt, p)), value, value.gauss_val(), crit_pt.gauss_val())

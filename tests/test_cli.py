@@ -287,6 +287,13 @@ MALFORMED_MAPS = {
     "not_additive": json.dumps({"field": GOOD_F3["field"], "coeffs": [[0], [1], [1]]}),
     "field_not_object": json.dumps({"field": 3, "a": [[2], [1]]}),
     "missing_file": None,
+    # coordinates, moduli and field parameters must be JSON integers
+    "float_coordinate": json.dumps({**GOOD_F3, "a": [[1.5], [1]]}),
+    "bool_coordinate": json.dumps({**GOOD_F3, "a": [[True], [1]]}),
+    "string_coordinate": json.dumps({**GOOD_F3, "a": [["2"], [1]]}),
+    "float_poly_coordinate": json.dumps({"field": GOOD_F3["field"], "coeffs": [[0], [1.5], [0], [1]]}),
+    "float_modulus": json.dumps({**GOOD_F3, "field": {"p": 3, "k": 1, "modulus": [0.0, 1]}}),
+    "string_p": json.dumps({**GOOD_F3, "field": {"p": "3", "k": 1, "modulus": [0, 1]}}),
 }
 
 
@@ -307,7 +314,15 @@ def test_malformed_map_file_exits_2(capsys, tmp_path, command, case):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", ['{"domain": {"kind": "finite', '{"num": [[1]]}'])
+@pytest.mark.parametrize("text", [
+    '{"domain": {"kind": "finite', '{"num": [[1]]}',
+    # a zero denominator, rational or cyclotomic, is bad input, not a crash
+    '{"domain": {"kind": "rationals"}, "num": [[1, 0], [0, 1], [1, 1]]}',
+    '{"domain": {"kind": "cyclotomic", "p": 3}, "num": [[[1, 1], [0, 1]], [[1, 1], [2, 0]]]}',
+    '{"domain": {"kind": "rationals"}, "num": [[1.5, 1], [0, 1], [1, 1]]}',
+    '{"domain": {"kind": "cyclotomic", "p": "3"}, "num": [[[1, 1], [0, 1]], [[1, 1], [2, 1]]]}',
+    '{"domain": {"kind": "finite_field", "p": 7, "k": 1, "modulus": [0, 1]}, "num": [[1.5], [1]]}',
+])
 def test_malformed_rational_map_file_exits_2(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -315,6 +330,25 @@ def test_malformed_rational_map_file_exits_2(capsys, tmp_path, text):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_conjugate_compares_supports_before_any_field_work(capsys, tmp_path, monkeypatch):
+    # z^(2^20) + z and z^(2^20) + z^2 + z differ in support: no gamma is walked
+    monkeypatch.delenv("WILDRAM_BUDGET", raising=False)
+    g = write_additive_json(tmp_path, "g.json", 2, 1, [[1]] + [[0]] * 19 + [[1]])
+    h = write_additive_json(tmp_path, "h.json", 2, 1, [[1], [1]] + [[0]] * 18 + [[1]])
+    t0 = time.perf_counter()
+    assert main(["conjugate", "--first", g, "--second", h]) == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_conjugate_gates_the_scalings_on_the_budget(capsys, tmp_path, monkeypatch):
+    # z^(2^17) + z against itself would walk 2^17 - 1 scalings
+    monkeypatch.delenv("WILDRAM_BUDGET", raising=False)
+    g = write_additive_json(tmp_path, "g.json", 2, 1, [[1]] + [[0]] * 16 + [[1]])
+    assert main(["conjugate", "--first", g, "--second", g]) == 3
+    err = capsys.readouterr().err
+    assert "= 131071 " in err and "WILDRAM_BUDGET" in err
 
 
 def test_failed_certificate_exits_4(capsys, tmp_path, monkeypatch):

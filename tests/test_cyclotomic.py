@@ -288,6 +288,22 @@ def test_s_ring_p2():
     assert (s * s) == R.scalar(9)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_specialize_is_the_ring_map_from_free_s(p):
+    # s^e -> a^(e div (p-1)) s^(e mod (p-1)); at p = 2 the image of s is s() = a
+    rng = random.Random(p)
+    for a in (1, -1, p + 1, 2 * p - 1):
+        R = s_arith(p, a)
+        assert R.specialize([0, 1]) == R.s()
+        assert R.specialize([0] * (p - 1) + [1]) == R.scalar(a)
+        f, g = ([CyclotomicNumber(p, [rng.randrange(-3, 4) for _ in range(p - 1)])
+                 for _ in range(rng.randrange(1, 2 * p))] for _ in range(2))
+        product = [sum((f[i] * g[e - i] for i in range(len(f)) if 0 <= e - i < len(g)),
+                       CyclotomicNumber.from_rational(p, 0))
+                   for e in range(len(f) + len(g) - 1)]
+        assert R.specialize(product) == R.specialize(f) * R.specialize(g)
+
+
 def test_json_roundtrip():
     x = CyclotomicNumber(5, [Fraction(1, 2), 3, 0, Fraction(-7, 3)])
     assert CyclotomicNumber.from_json(x.to_json()) == x

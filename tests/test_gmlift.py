@@ -5,13 +5,20 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from oracles import expanded_critical_data, expanded_lift
+from wildram import gmlift
 from wildram.cyclotomic import CyclotomicNumber, residue
 from wildram.errors import BadParameter, BadResidueChoice, BudgetExceeded
 from wildram.ff import GF, FqPoly, embed
 from wildram.gmlift import (
     build_lift,
+    lift_sides,
     lift_critical_data,
     lift_scheme_dot,
     multiplier_at_zero,
@@ -266,3 +273,84 @@ def test_corrupted_closed_form_fails_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "closed form disagrees with the direct expansion" in proc.stdout
+
+
+def run_child(child: str, *flags: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(child)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+
+
+def test_corrupted_closed_form_fails_under_python_O_with_a_warm_prime():
+    # the sides expanded for p = 3 are cached; a later a still compares the
+    # closed form, built again from comb, with their image
+    proc = run_child(
+        """
+        import sys
+        from math import comb
+        from wildram import gmlift
+        from wildram.errors import CertificateFailed
+
+        assert False, "asserts are on"
+        gmlift.build_lift(3, a=1)
+        gmlift.comb = lambda n, k: comb(n, k) + (k == 1)
+        try:
+            gmlift.build_lift(3, a=2)
+        except CertificateFailed as exc:
+            print("CertificateFailed:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """,
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "closed form disagrees with the direct expansion" in proc.stdout
+
+
+def test_import_does_no_lift_work():
+    # importing the package expands nothing; the sides are filled once per prime
+    proc = run_child(
+        """
+        import wildram
+        from wildram import gmlift
+
+        print(gmlift.lift_sides.cache_info().currsize)
+        gmlift.build_lift(5, a=2)
+        gmlift.build_lift(5, a=3)
+        print(gmlift.lift_sides.cache_info().currsize)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+def _lift_results(p, a):
+    L = build_lift(p, a=a)
+    return L.coeffs, lift_critical_data(L).to_json(), orbit_search(L, 6)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), a=st.integers(-30, 30))
+@example(p=13, a=-1)
+@example(p=7, a=8)
+@example(p=2, a=-3)
+@example(p=11, a=1)
+def test_lift_matches_the_per_a_expansion(p, a):
+    assume(a != 0 and (a % p != 0 or p == 2))
+    coeffs, critical, orbit = _lift_results(p, a)
+    O = expanded_lift(p, a)
+    assert coeffs == O.coeffs
+    assert critical == expanded_critical_data(O).to_json()
+    with mock.patch.object(gmlift, "lift_critical_data", expanded_critical_data):
+        assert orbit == orbit_search(O, 6)
+
+
+def test_results_do_not_depend_on_the_per_prime_cache():
+    for p, a in ((2, 2), (3, -1), (7, 3)):
+        lift_sides.cache_clear()
+        cold = _lift_results(p, a)
+        _lift_results(p, a + p)
+        assert _lift_results(p, a) == cold
