@@ -91,6 +91,11 @@ MODULUS_GRID = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 9)] + [
     (9001, 2),
     (30011, 2),
     (2**31 - 1, 2),
+    (2, 64),
+    (3, 36),
+    (3, 48),
+    (5, 40),
+    (7, 42),
 ]
 
 
