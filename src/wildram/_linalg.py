@@ -17,8 +17,12 @@ others pass packed rows around as opaque ints.
 
 These routines back the parts of the package that solve F_p matrices:
 kernels of additive operators, subfield detection, rank certificates and
-canonical basis extraction, and the field product (``mulmod``).
-Everything is exact, at every p.
+canonical basis extraction.  They also serve F_p[x] arithmetic: the field
+product (``mulmod``), and the ``poly_*`` product, remainder, gcd, inverse
+and power with which ``ff`` searches and tests moduli, inverts elements
+and builds Frobenius rows.  A polynomial of degree at most k keeps
+coefficient i in slot i, in the odd-p width for k entries at p = 2 too,
+since integer products carry.  Everything is exact, at every p.
 """
 
 from __future__ import annotations
@@ -39,9 +43,17 @@ def _width(p: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _residues(p: int) -> bytes:
-    """The table that translates each byte to its residue mod p."""
-    return bytes(v % p for v in range(256))
+def _residues(p: int, shift: int = 0) -> bytes:
+    """The table that translates each byte v to (v << shift) mod p."""
+    return bytes((v << shift) % p for v in range(256))
+
+
+def _planes(x: int, n: int, p: int) -> bytes:
+    """The n 16-bit slots of x mod p, a byte each, by byte planes (p < 128)."""
+    b = x.to_bytes(2 * n, "little")
+    s = (int.from_bytes(b[0::2].translate(_residues(p)), "little")
+         + int.from_bytes(b[1::2].translate(_residues(p, 8)), "little"))
+    return s.to_bytes(n, "little").translate(_residues(p))
 
 
 def _pack(vec, w: int) -> int:
@@ -61,12 +73,28 @@ def _pack(vec, w: int) -> int:
 def _unpack(x: int, w: int, n: int, p: int) -> list[int]:
     if w == 8:
         return list(x.to_bytes(n, "little").translate(_residues(p)))
-    if w not in _TYPECODES:
-        return [((x >> j * w) & ((1 << w) - 1)) % p for j in range(n)]
+    if w == 16 and p < 128 and n > 8:
+        return list(_planes(x, n, p))
+    if w not in _TYPECODES or n <= 4:  # for short rows shifting is cheaper
+        mask = (1 << w) - 1
+        return [(x >> j * w & mask) % p for j in range(n)]
     items = array(_TYPECODES[w], x.to_bytes(n * w // 8, "little"))
     if sys.byteorder == "big":
         items.byteswap()
     return [v % p for v in items]
+
+
+def _reduce(x: int, w: int, n: int, p: int) -> int:
+    if w == 8:
+        return int.from_bytes(x.to_bytes(n, "little").translate(_residues(p)), "little")
+    if w == 16 and p < 128 and n > 8:
+        out = bytearray(2 * n)
+        out[0::2] = _planes(x, n, p)
+        return int.from_bytes(out, "little")
+    if w not in _TYPECODES or n <= 8:
+        mask = (1 << w) - 1
+        return sum([(x >> j * w & mask) % p << j * w for j in range(n)])
+    return _pack(_unpack(x, w, n, p), w)
 
 
 def pack(vec, p: int) -> int:
@@ -85,12 +113,7 @@ def unpack(x: int, p: int, n: int) -> list[int]:
 
 def reduce(x: int, p: int, n: int) -> int:
     """The packed row x of n entries with every slot reduced mod p."""
-    if p == 2:
-        return x
-    w = _width(p, n)
-    if w == 8:
-        return int.from_bytes(x.to_bytes(n, "little").translate(_residues(p)), "little")
-    return _pack(_unpack(x, w, n, p), w)
+    return x if p == 2 else _reduce(x, _width(p, n), n, p)
 
 
 def combine(coeffs, rows, p: int) -> int:
@@ -108,21 +131,18 @@ def combine(coeffs, rows, p: int) -> int:
     return sum([c * row for c, row in zip(coeffs, rows) if c])
 
 
-def reduction(rows, p: int) -> list[int]:
-    """The coordinate vectors of x^(k+j) mod a modulus of degree k, j < k - 1,
-    packed for ``mulmod``: integer products carry, so at p = 2 too in
-    slots of the odd-p width."""
-    return [_pack(row, _width(p, len(row))) for row in rows]
+def reduction(mu, p: int) -> list[int]:
+    """x^(k+j) modulo the monic mu of degree k, j < k - 1, by shifts of x^k."""
+    k, w = len(mu) - 1, _width(p, len(mu) - 1)
+    xk = _pack([-m % p for m in mu[:k]], w)
+    return x_multiples(xk, xk, p, k, w)[: k - 1]
 
 
 def mulmod(a, b, reduction: list[int], p: int) -> list[int]:
-    """Coordinates mod p of a * b modulo the degree-k modulus with these
-    packed ``reduction`` rows, a and b residue vectors of length k.
-
-    One big-int product of the packed a and b (Kronecker substitution)
-    leaves 2k - 1 slots of at most k products each; the top k - 1, reduced,
-    fold back onto the low k through the rows, k - 1 more products.
-    """
+    """Coordinates of a * b modulo the degree-k modulus, a and b residue
+    vectors of length k: one big-int product of the packed a and b (2k - 1
+    slots of at most k products each), whose top k - 1 slots, reduced, fold
+    back onto the low k through the ``reduction`` rows, k - 1 more products."""
     k = len(a)
     w = _width(p, k)
     z = _pack(a, w) * _pack(b, w)
@@ -133,19 +153,100 @@ def mulmod(a, b, reduction: list[int], p: int) -> list[int]:
     return _unpack(low, w, k, p)
 
 
-def x_multiples(row: int, xn: int, p: int, n: int) -> list[int]:
+def x_multiples(row: int, xn: int, p: int, n: int, w: int = 0) -> list[int]:
     """The packed rows row * x^t modulo a monic modulus of degree n, t < n,
-    from the reduced row and xn, the packed x^n modulo the modulus."""
-    w = 1 if p == 2 else _width(p, n)
+    from the reduced row and xn, the packed x^n modulo the modulus; in
+    slots of width w if given (at p = 2, XOR keeps any slot at 0 or 1)."""
+    w = w or (1 if p == 2 else _width(p, n))
     top, mask, low = (n - 1) * w, (1 << w) - 1, (1 << n * w) - 1
     out = [row]
     for _ in range(n - 1):
         lead = ((row >> top) & mask) % p
         row = (row << w) & low
         if lead:
-            row = row ^ xn if p == 2 else reduce(row + lead * xn, p, n)
+            row = row ^ xn if p == 2 else _reduce(row + lead * xn, w, n, p)
         out.append(row)
     return out
+
+
+def poly_pack(coeffs, p: int, k: int) -> int:
+    """The residues coeffs, constant first, as a polynomial of degree <= k."""
+    return _pack(coeffs, _width(p, k))
+
+
+def poly_unpack(x: int, p: int, k: int, n: int) -> list[int]:
+    """The first n coefficients mod p of a polynomial of degree <= k."""
+    return _unpack(x, _width(p, k), n, p)
+
+
+def poly_row(x: int, p: int, k: int) -> int:
+    """The reduced polynomial x of degree < k as a ``pack`` row of k entries."""
+    return pack(poly_unpack(x, p, k, k), 2) if p == 2 else x
+
+
+def poly_sub(a: int, b: int, p: int, k: int) -> int:
+    """a - b, reduced, for reduced a and b of degree < k."""
+    return _reduce(a + (p - 1) * b, _width(p, k), k, p)
+
+
+def poly_mulmod(a: int, b: int, reduction: list[int], p: int, k: int) -> int:
+    """``mulmod`` on reduced polynomials a and b of degree < k."""
+    w = _width(p, k)
+    z = a * b
+    low = z & ((1 << k * w) - 1)
+    for c, row in zip(_unpack(z >> k * w, w, k - 1, p), reduction):
+        if c:
+            low += c * row
+    return _reduce(low, w, k, p)
+
+
+def poly_powmod(a: int, e: int, reduction: list[int], p: int, k: int) -> int:
+    """a^e modulo the degree-k modulus by square-and-multiply, deg a < k."""
+    out = a if e else 1
+    for bit in bin(e)[3:]:
+        out = poly_mulmod(out, out, reduction, p, k)
+        if bit == "1":
+            out = poly_mulmod(out, a, reduction, p, k)
+    return out
+
+
+def poly_divmod(a: int, b: int, p: int, k: int) -> tuple[int, int]:
+    """Quotient and remainder of a by b != 0, reduced, of degree at most k.
+    A step reads a's leading slot mod p and clears it by a += (p - c) b x^s,
+    c the quotient digit (an XOR at p = 2): at most k steps add at most
+    (p - 1)^2 to a slot each, within the width, so r is reduced once."""
+    w = _width(p, k)
+    mask = (1 << w) - 1
+    db = (b.bit_length() - 1) // w
+    inv = pow(b >> db * w, -1, p)
+    q = 0
+    for s in range((a.bit_length() - 1) // w - db, -1, -1):
+        c = (a >> (s + db) * w & mask) * inv % p
+        if c:
+            q |= c << s * w
+            a = a ^ b << s * w if p == 2 else a + ((p - c) * b << s * w)
+    r = a & ((1 << db * w) - 1)
+    return q, r if p == 2 else _reduce(r, w, db, p)
+
+
+def poly_gcd(a: int, b: int, p: int, k: int) -> int:
+    """The monic gcd of reduced a and b of degree at most k; 0 for two zeros."""
+    w = _width(p, k)
+    while b:
+        a, b = b, poly_divmod(a, b, p, k)[1]
+    return a and poly_divmod(a, a >> (a.bit_length() - 1) // w * w, p, k)[0]  # a / lead(a)
+
+
+def poly_inverse(a: int, mu: int, p: int, k: int) -> int:
+    """a^(-1) modulo mu of degree k, for a reduced a of degree < k prime to mu:
+    extended Euclid on r_0 = mu, r_1 = a, ... with u_(i+1) = u_(i-1) + q_i u_i,
+    so that u_i a = (-1)^(i+1) r_i modulo mu and no step subtracts."""
+    r0, r1, u0, u1, sign = mu, a, 0, 1, 1
+    while True:
+        q, r = poly_divmod(r0, r1, p, k)
+        if not r:  # r1 is a nonzero constant
+            return _reduce(u1 * (sign * pow(r1, -1, p) % p), _width(p, k), k, p)
+        r0, r1, u0, u1, sign = r1, r, u1, _reduce(u0 + q * u1, _width(p, k), k, p), -sign
 
 
 def rref(rows, p: int, n: int) -> tuple[list[int], list[int]]:

@@ -9,10 +9,10 @@ as a function (``FieldElement.inverse``, ``domain.inv``).
 
 This is the one object-generic kernel behind ``FqPoly``, ``RPoly``, the
 rational maps of ``dynsys``, the characteristic-zero squarefree
-decomposition and the s-ring inverse.  The int-tuple mod-p routines
-``ff._fp_*`` stay separate on purpose: they search and test field moduli
-(Ben-Or) before the field, and so any element object, exists, and on bare
-ints they spare every field's first use the cost of element objects.
+decomposition and the s-ring inverse.  F_p[x] modulo a field's modulus
+runs apart from it, on ``_linalg``'s packed ints (``ff._fp_*``): the moduli
+are searched and tested (Ben-Or) before the field, and so any element
+object, exists, and a product there is one big-int product.
 """
 
 from __future__ import annotations

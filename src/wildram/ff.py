@@ -28,8 +28,8 @@ Kronecker product of the two coordinate vectors, in slots of at least
 bit_length(k * p^2) + 1 bits (``_linalg``'s slot-width bound, so no slot
 carries into the next), folded back by the packed rows x^(k+j) mod the
 modulus; a Frobenius power combines cached packed rows; inverses come
-from extended Euclid.  Every p and k is supported, within time and
-memory.
+from extended Euclid on packed polynomials.  Every p and k is supported,
+within time and memory.
 """
 
 from __future__ import annotations
@@ -133,142 +133,82 @@ def _stable_seed(*parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over the prime field, as int tuples (constant first).
-# Only used for modulus bookkeeping; everything user-facing is FqPoly.
-# This is the one arithmetic kept apart from the object-generic _poly
-# kernel: Ben-Or in make_field runs it before the field exists, on bare
-# ints, where element objects would only add cost to every first use.
+# Polynomials over the prime field, packed by _linalg (poly_*): the modulus
+# search, Frobenius rows and inverses, where a product modulo the modulus is
+# one big-int product and O(k) slot operations, not O(k^2) Python steps.
 # ---------------------------------------------------------------------------
 
-def _fp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    a = [int(v) for v in a]
-    db, dl = len(b) - 1, int(b[-1])
-    inv = pow(dl, -1, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        coef = a[-1] * inv % p
-        q[shift] = coef
-        for j in range(db + 1):
-            a[shift + j] = (a[shift + j] - coef * b[j]) % p
-        a.pop()
-    return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
-def _fp_mulmod(a, b, mu, p):
-    return _fp_divmod(_fp_mul(a, b, p), mu, p)[1]
-
-
-def _fp_powmod(base, e: int, mu, p: int) -> tuple[int, ...]:
-    """base^e mod mu by square-and-multiply: O(deg(mu)^2 log e)."""
-    result, base = (1,), _fp_divmod(base, mu, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, mu, p)
-        e >>= 1
-        if e:
-            base = _fp_mulmod(base, base, mu, p)
-    return result
-
-
-def _fp_power_rows(mu: tuple[int, ...], p: int, e: int) -> list[int]:
-    """Packed rows x^(i*e) mod mu for 0 <= i < k = deg(mu).
-
-    With e = p^j, row i holds the coordinates of (x^i)^(p^j): the rows of
-    the transposed matrix of c -> c^(p^j).
-    """
-    k = len(mu) - 1
-    # xe on the left: for e < k it is the monomial x^e, so each product is
-    # a shift and the table costs what direct shifting would.
-    xe = _fp_powmod((0, 1), e, mu, p)
-    rows = []
-    cur: tuple[int, ...] = (1,)
-    for i in range(k):
-        rows.append(_linalg.pack(cur + (0,) * (k - len(cur)), p))
-        if i + 1 < k:
-            cur = _fp_mulmod(xe, cur, mu, p)
-    return rows
+def _fp_power_rows(xe: int, red: list[int], p: int, k: int) -> list[int]:
+    """Packed rows xe^i mod mu, i < k = deg(mu), red its reduction rows: for
+    xe = x^(p^j), the rows of the transposed matrix of c -> c^(p^j)."""
+    powers = accumulate(range(k - 1), lambda y, _: _linalg.poly_mulmod(xe, y, red, p, k), initial=1)
+    return [_linalg.poly_row(y, p, k) for y in powers]
 
 
 def _fp_is_irreducible(mu: tuple[int, ...], p: int) -> bool:
     """Ben-Or's test: mu is irreducible iff gcd(x^(p^i) - x, mu) = 1 for i <= k/2.
 
-    A reducible mu has an irreducible factor of degree i <= k/2, which
-    divides x^(p^i) - x; most candidates fail at a small i.
+    A reducible mu has a factor of degree i <= k/2, which divides x^(p^i) - x.
+    Their product modulo mu is tested by one gcd at i = 1, 2, 4, ... and k/2;
+    most candidates fail at i = 1, where x^p for p < k is a monomial.
     """
     k = len(mu) - 1
-    if k == 1:
-        return True
-    if mu[0] == 0:  # divisible by x
-        return False
-    h: tuple[int, ...] = (0, 1)
-    for _ in range(k // 2):
-        h = _fp_powmod(h, p, mu, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        if _fp_gcd(mu, _fp_trim(diff), p) != (1,):
-            return False
+    if k == 1 or mu[0] == 0:  # linear, or divisible by x
+        return k == 1
+    m, x = _linalg.poly_pack(mu, p, k), _linalg.poly_pack((0, 1), p, k)
+    red, h, prod, check = None, x, None, 1
+    for i in range(1, k // 2 + 1):
+        if i == 1 and p < k:
+            h = _linalg.poly_pack((0,) * p + (1,), p, k)
+        else:
+            red = red or _linalg.reduction(mu, p)
+            h = _linalg.poly_powmod(h, p, red, p, k)
+        f = _linalg.poly_sub(h, x, p, k)
+        prod = f if prod is None else _linalg.poly_mulmod(prod, f, red, p, k)
+        if i in (check, k // 2):
+            if _linalg.poly_gcd(m, prod, p, k) != 1:
+                return False
+            prod, check = None, 2 * i
     return True
 
 
 def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending: trial division below 2^8, then
+    Pollard's rho (Floyd's cycle on x -> x^2 + c) until every part is prime."""
     out, d = [], 2
-    while d * d <= n:
+    while d < 256 and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.append(m)
+            continue
+        c, f = 0, m
+        while f == m:  # the cycle closed mod every factor at once: next c
+            c, x, y, f = c + 1, 2, 2, 1
+            while f == 1:
+                x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+                f = math.gcd(x - y, m)
+        parts += [f, m // f]
+    return sorted(set(out))
 
 
 def _search_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree k over F_p in base-p digit order.
-
-    Coefficient i is digit i of the candidate's index, so the x^(k-1)
-    coefficient is the most significant digit.
-    """
-    if k == 1:
-        return (0, 1)
-    for n in range(1, p**k):
-        if n % p == 0:  # divisible by x
-            continue
-        mu = tuple((n // p**i) % p for i in range(k)) + (1,)
+    """Smallest monic irreducible of degree k over F_p in base-p digit order:
+    coefficient i is digit i of the candidate's index, counted from 0 (x^k,
+    irreducible only for k = 1), so the x^(k-1) coefficient is most significant."""
+    digits = [0] * k
+    while True:
+        mu = tuple(digits) + (1,)
         if _fp_is_irreducible(mu, p):
             return mu
-    raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # unreachable
+        i = next(i for i, d in enumerate(digits) if d < p - 1)  # the digit the carry stops at
+        digits[: i + 1] = [0] * i + [digits[i] + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +297,22 @@ class FiniteField:
 
     def _reduction_rows(self) -> list[int]:
         """x^(k+j) mod modulus for 0 <= j < k - 1, packed for ``mulmod``."""
-        red = self._cache.get("red")
-        if red is None:
-            p, k, mu = self.p, self.k, self.modulus
-            rows = [tuple(-m % p for m in mu[:k])]  # x^k; then multiply by x and reduce
-            while len(rows) < k - 1:
-                top = rows[-1][-1]
-                rows.append(tuple((a - top * m) % p for a, m in zip((0,) + rows[-1][:-1], mu)))
-            red = self._cache["red"] = _linalg.reduction(rows, p)
-        return red
+        if "red" not in self._cache:
+            self._cache["red"] = _linalg.reduction(self.modulus, self.p)
+        return self._cache["red"]
 
     def _frobenius_rows(self, j: int) -> list[int]:
-        """Packed row i holds the coordinates of (x^i)^(p^j), for 0 <= i < k."""
+        """Packed row i holds the coordinates of (x^i)^(p^j), for 0 <= i < k:
+        the powers of x^(p^j), for j >= 2 from j applications of the j = 1 rows."""
         rows = self._cache.get(("frob_rows", j))
         if rows is None:
-            rows = _fp_power_rows(self.modulus, self.p, self.p**j)
-            self._cache[("frob_rows", j)] = rows
+            p, k, red = self.p, self.k, self._reduction_rows()
+            if j > 1:
+                xe = reduce(lambda c, _: self._frobenius_coords(c, 1), range(j), self.gen().coords)
+                xe = _linalg.poly_pack(xe, p, k)
+            else:  # at k = 1 the one row is x^0 and xe goes unused
+                xe = k > 1 and _linalg.poly_powmod(_linalg.poly_pack((0, 1), p, k), p, red, p, k)
+            rows = self._cache[("frob_rows", j)] = _fp_power_rows(xe, red, p, k)
         return rows
 
     # -- coordinate arithmetic ----------------------------------------------
@@ -390,31 +330,13 @@ class FiniteField:
 
     def _inv_coords(self, a):
         p, k = self.p, self.k
-        if all(v == 0 for v in a):
+        if not any(a):
             raise ZeroDivisionError("inversion of zero field element")
         if k == 1:
             return (pow(a[0], -1, p),)
-        # extended Euclid in F_p[x]: maintain t_i with t_i * a = r_i (mod modulus)
-        r0, r1 = self.modulus, _fp_trim(list(a))
-        t0, t1 = (), (1,)
-        while r1:
-            q, r = _fp_divmod(r0, r1, p)
-            qt = _fp_mul(q, t1, p)
-            m = max(len(t0), len(qt))
-            t2 = _fp_trim(
-                [
-                    ((t0[i] if i < len(t0) else 0) - (qt[i] if i < len(qt) else 0)) % p
-                    for i in range(m)
-                ]
-            )
-            r0, r1 = r1, r
-            t0, t1 = t1, t2
-        # r0 is a nonzero constant: modulus is irreducible and a != 0
-        lead_inv = pow(r0[-1], -1, p)
-        inv = [0] * k
-        for i, v in enumerate(t0):
-            inv[i] = v * lead_inv % p
-        return tuple(inv)
+        mu = _linalg.poly_pack(self.modulus, p, k)
+        inv = _linalg.poly_inverse(_linalg.poly_pack(a, p, k), mu, p, k)
+        return tuple(_linalg.poly_unpack(inv, p, k, k))
 
 
 class FieldElement:
@@ -488,11 +410,12 @@ class FieldElement:
             return self.inverse() ** (-e)
         result = self.field.one()
         base = self
-        while e > 0:
+        while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def inverse(self) -> FieldElement:
@@ -705,7 +628,7 @@ class _FrobMod:
         xp = FqPoly.x(self.field).pow_mod(self.field.p, self.g)
         rows = [FqPoly.from_ints(self.field, [1])]
         for _ in range(1, self.g.degree):
-            rows.append((xp * rows[-1]) % self.g)  # xp left: see _fp_power_rows
+            rows.append((xp * rows[-1]) % self.g)
         self.rows = rows
 
     def apply_p(self, h: FqPoly) -> FqPoly:

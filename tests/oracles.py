@@ -9,6 +9,11 @@ least root of the dense degree-p^m polynomial L(z) - r in the field that
 grows with the field order and with p^m, so tests run them on small grids
 only.
 
+Polynomials over F_p as int tuples (constant first): the F_p[x] kernel
+of ``ff`` before it moved onto ``_linalg``'s packed ints, one Python step
+per coefficient product, with Ben-Or's test one gcd per i.  Trial
+division: ``ff._prime_divisors`` before Pollard's rho.
+
 Per-a lift expansions: ((lambda z + s)^p - s^p)/lambda^p, its derivative
 side and its critical fiber expanded by repeated multiplication inside
 Q(zeta_p)[s]/(s^(p-1) - a) for each a, where the library expands them once
@@ -24,6 +29,97 @@ from wildram.cyclotomic import CyclotomicNumber, SRing
 from wildram.ff import GF, FqPoly, common_overfield, embed, roots_in, splitting_degree
 from wildram.gmlift import LiftCriticalData, LiftPoly, RPoly
 from wildram.moduli import _affine_conjugate_additive, _parse_additive_with_constant
+
+
+def fp_trim(c: list[int]) -> tuple[int, ...]:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def fp_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return fp_trim(out)
+
+
+def fp_divmod(a, b, p):
+    a = [int(v) for v in a]
+    db, dl = len(b) - 1, int(b[-1])
+    inv = pow(dl, -1, p)
+    q = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - 1 - db
+        coef = a[-1] * inv % p
+        q[shift] = coef
+        for j in range(db + 1):
+            a[shift + j] = (a[shift + j] - coef * b[j]) % p
+        a.pop()
+    return fp_trim(q), fp_trim(a)
+
+
+def fp_gcd(a, b, p):
+    a, b = fp_trim(list(a)), fp_trim(list(b))
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = tuple(c * inv % p for c in a)
+    return a
+
+
+def fp_mulmod(a, b, mu, p):
+    return fp_divmod(fp_mul(a, b, p), mu, p)[1]
+
+
+def fp_powmod(base, e: int, mu, p: int) -> tuple[int, ...]:
+    """base^e mod mu by square-and-multiply: O(deg(mu)^2 log e)."""
+    result, base = (1,), fp_divmod(base, mu, p)[1]
+    while e:
+        if e & 1:
+            result = fp_mulmod(result, base, mu, p)
+        e >>= 1
+        if e:
+            base = fp_mulmod(base, base, mu, p)
+    return result
+
+
+def fp_is_irreducible(mu: tuple[int, ...], p: int) -> bool:
+    """Ben-Or's test with one gcd(x^(p^i) - x, mu) per i <= k/2."""
+    k = len(mu) - 1
+    if k == 1:
+        return True
+    if mu[0] == 0:
+        return False
+    h: tuple[int, ...] = (0, 1)
+    for _ in range(k // 2):
+        h = fp_powmod(h, p, mu, p)
+        diff = list(h) + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        if fp_gcd(mu, fp_trim(diff), p) != (1,):
+            return False
+    return True
+
+
+def trial_prime_divisors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def root_degree(a, n) -> int:

@@ -19,7 +19,7 @@ from wildram.errors import (
 from wildram._linalg import unpack
 from wildram.ff import GF, FqPoly, embed, make_field, roots_in, solve_power, splitting_degree, squarefree_factor
 
-from oracles import root_degree, scanning_solve_power
+from oracles import fp_divmod, root_degree, scanning_solve_power
 
 
 def brute_irreducible(mu, p):
@@ -28,7 +28,7 @@ def brute_irreducible(mu, p):
     for d in range(1, k // 2 + 1):
         for n in range(p ** (d + 1)):
             g = tuple((n // p**i) % p for i in range(d)) + (1,)
-            if not ff._fp_divmod(mu, g, p)[1] and len(g) - 1 >= 1:
+            if not fp_divmod(mu, g, p)[1] and len(g) - 1 >= 1:
                 return False
     return True
 
