@@ -1,6 +1,7 @@
 """The packed F_p[x] kernel (``_linalg.poly_*``, Ben-Or's test, the Frobenius
-rows, the factoring of group orders and element powers) against the int
-tuple routines it replaced and against sympy."""
+rows), the factoring of group orders and element powers against the int
+tuple routines they replaced and against sympy; and a guard that importing
+the CLI builds no field."""
 
 import os
 import subprocess
@@ -17,14 +18,16 @@ import wildram
 from wildram import _linalg, ff
 from wildram.ff import GF
 
-from oracles import fp_divmod, fp_gcd, fp_is_irreducible, fp_mulmod, fp_powmod, fp_trim, trial_prime_divisors
+from oracles import (fp_divmod, fp_gcd, fp_is_irreducible, fp_mul, fp_mulmod, fp_powmod, fp_trim,
+                     trial_prime_divisors)
+
+
+PRIMES = [2, 3, 5, 7, 31, 2**31 - 1]
+MAX_DEGREE = 64
 
 
 def trim(c):
     return fp_trim(list(c))
-
-PRIMES = [2, 3, 5, 7, 31, 2**31 - 1]
-MAX_DEGREE = 64
 
 
 def coeffs(p, n):
@@ -126,17 +129,9 @@ def test_ben_or_refuses_products_at_every_factor_degree():
     for p in (2, 3, 5, 7):
         for d in range(1, 13):
             for e in (d, d + 1, 2 * d + 3):
-                mu = tuple(_product(GF(p, d).modulus, GF(p, e).modulus, p))
+                mu = fp_mul(GF(p, d).modulus, GF(p, e).modulus, p)
                 assert not ff._fp_is_irreducible(mu, p), (p, d, e)
                 assert not fp_is_irreducible(mu, p)
-
-
-def _product(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 def test_frobenius_rows_are_powers_of_x_to_the_p_j():
